@@ -21,6 +21,7 @@ from .errors import (
     DegenerateWeightsError,
     DominanceError,
     GramIntegrityError,
+    NonFinitePointsError,
     ScoreEvaluationError,
     SolverError,
     SteinWeightsError,

@@ -26,6 +26,11 @@ class ScoreEvaluationError(SteinWeightsError, RuntimeError):
         self.point = point
 
 
+class NonFinitePointsError(SteinWeightsError, ValueError):
+    """Raised when a sampler returns non-finite points, for example from a
+    diverging chain."""
+
+
 class GramIntegrityError(SteinWeightsError, RuntimeError):
     """Raised when a Gram matrix violates symmetry or positive semidefiniteness
     beyond numerical tolerance."""

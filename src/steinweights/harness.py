@@ -29,6 +29,7 @@ import numpy as np
 from . import baselines, simplex_qp
 from .errors import (
     DominanceError,
+    NonFinitePointsError,
     SteinWeightsError,
     UnsupportedConfigurationError,
 )
@@ -597,6 +598,8 @@ def _trial_records(ctx: _RunContext, n: int, trial: int) -> list:
     omega = offset = None
     try:
         points = _sample_points(ctx, n, points_ss)
+        if not np.all(np.isfinite(points)):
+            raise NonFinitePointsError("sampler returned non-finite points")
         bandwidth = median_heuristic_bandwidth(points)
         kernel = RbfKernel(bandwidth)
         gram = stein_gram(ctx.target, kernel, points)
@@ -724,6 +727,9 @@ def run_experiment(config) -> ExperimentResult:
         import json
 
         payload = cfg.to_dict()
+        # The parent already wrote any simulated dataset; workers must not
+        # rewrite it.
+        payload["target"].pop("dataset_out", None)
         if cfg.ground_truth is not None and cfg.ground_truth.get("kind") == "mala_oracle":
             payload["_ground_payload"] = {
                 "mean": ctx.ground.mean.tolist(),

@@ -12,6 +12,13 @@ sample weights:
 Both start from uniform weights and only ever accept steps that do not
 increase the objective, so the recorded objective trace is non-increasing
 and the uniform-weight objective is an upper bound on the result.
+
+The (n, n) products with K dominate the cost. Each solver forms K w once
+per iterate and uses it twice: the objective is w' (K w) and the next
+gradient is 2 K w. Mirror descent therefore costs one product per
+candidate step it scores, and Frank-Wolfe two per iteration (the line
+search curvature and K w at the new iterate), plus one product at the
+uniform start.
 """
 
 from __future__ import annotations
@@ -138,6 +145,11 @@ def solve_mirror_descent(
     Exhausting ``max_iters`` returns the best iterate with ``converged``
     False rather than raising.
 
+    Each scored candidate costs one product K c, which gives both its
+    objective c' (K c) and, if the step is accepted, the next gradient
+    2 K c. An iteration that rejects the doubled step and accepts the next
+    one thus costs two products.
+
     Only ``lower_bound == 0`` is supported; the multiplicative update cannot
     leave the open simplex.
     """
@@ -153,13 +165,13 @@ def solve_mirror_descent(
     if max_iters is None:
         max_iters = max(2000, 50 * n)
     w = np.full(n, 1.0 / n)
-    obj = float(w @ mat @ w)
+    kw = mat @ w
+    obj = float(w @ kw)
     trace = [obj]
-    eta0 = 1.0 / (2.0 * float(np.max(np.abs(mat))))
-    eta = eta0
+    eta = 1.0 / (2.0 * float(np.max(np.abs(mat))))
     converged = False
     iterations = 0
-    grad = 2.0 * (mat @ w)
+    grad = 2.0 * kw
     for _ in range(max_iters):
         if not np.all(np.isfinite(grad)):
             raise SolverError("mirror descent gradient is not finite")
@@ -173,7 +185,8 @@ def solve_mirror_descent(
                 eta *= 0.5
                 continue
             candidate /= total
-            cand_obj = float(candidate @ mat @ candidate)
+            kc = mat @ candidate
+            cand_obj = float(candidate @ kc)
             predicted = float(grad @ (w - candidate))
             if cand_obj <= obj - _ARMIJO_FRACTION * predicted:
                 accepted = True
@@ -187,7 +200,7 @@ def solve_mirror_descent(
         w = candidate
         obj = cand_obj
         trace.append(obj)
-        grad = 2.0 * (mat @ w)
+        grad = 2.0 * kc
         eta *= 2.0
         if decrease <= tol * max(abs(obj), 1e-300):
             converged = True
@@ -213,6 +226,10 @@ def solve_frank_wolfe(
     the feasible region or the stopping rule. Convergence is declared when
     the Frank-Wolfe gap <w - v, grad f> drops to ``tol``, which defaults to
     1e-10 * n * max(diag K); the gap bounds the remaining suboptimality.
+
+    Each iteration costs two products with K: one for the line-search
+    curvature d' K d and one for K w at the new iterate, which gives both
+    the recorded objective w' (K w) and the next gradient 2 K w.
     """
     trivial = _trivial_solution(problem)
     if trivial is not None:
@@ -230,13 +247,14 @@ def solve_frank_wolfe(
     if tol is None:
         tol = 1e-10 * n * max(float(np.max(np.diag(mat))), 0.0)
     w = np.full(n, 1.0 / n)
-    obj = float(w @ mat @ w)
+    kw = mat @ w
+    obj = float(w @ kw)
     trace = [obj]
     converged = False
     iterations = 0
     gap = np.inf
     for _ in range(max_iters):
-        grad = 2.0 * (mat @ w)
+        grad = 2.0 * kw
         if not np.all(np.isfinite(grad)):
             raise SolverError("frank-wolfe gradient is not finite")
         s_idx, vertex = _lmo_vertex(grad, lb)
@@ -281,7 +299,8 @@ def solve_frank_wolfe(
             w[drop_idx] = lb
         elif drop_idx is None and step == 1.0:
             w = vertex.copy()
-        obj = float(w @ mat @ w)
+        kw = mat @ w
+        obj = float(w @ kw)
         iterations += 1
         trace.append(obj)
     w = w / float(w.sum())

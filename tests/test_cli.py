@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line entry points."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 
@@ -185,3 +187,35 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "dimension" in err
+
+
+class TestReadmeTargetKinds:
+    def _readme_kinds(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("A target spec is JSON:", 1)[1]
+        section = section.split("## Experiment configs", 1)[0]
+        kinds = re.findall(r'"kind": "(\w+)"', section)
+        return set(kinds + re.findall(r"`(\w+)`\s+\(", section))
+
+    def test_every_documented_kind_builds(self, tmp_path):
+        dataset = str(tmp_path / "probit.csv")
+        # probit_simulated precedes probit: it writes the dataset probit reads.
+        specs = {
+            "gmm_fixture": {"kind": "gmm_fixture", "seed": 3, "components": 4,
+                            "dimension": 2},
+            "standard_normal": {"kind": "standard_normal", "dimension": 2},
+            "probit_simulated": {"kind": "probit_simulated", "n_data": 20,
+                                 "dimension": 2, "seed": 4, "dataset_out": dataset},
+            "probit": {"kind": "probit", "dataset": dataset},
+            "gmm": {"kind": "gmm", "weights": [0.3, 0.7],
+                    "means": [[-1.0, 0.0], [1.0, 0.5]], "variances": [0.5, 1.0]},
+        }
+        assert self._readme_kinds() == set(specs)
+        points_path, _ = _points_file(tmp_path, n=8, d=2)
+        for kind, spec in specs.items():
+            target_path = _write_json(tmp_path / f"{kind}.json", spec)
+            code = main([
+                "weights", "--points", points_path, "--target", target_path,
+                "--scheme", "stein", "--output", str(tmp_path / f"{kind}.csv"),
+            ])
+            assert code == 0, kind

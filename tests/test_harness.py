@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from steinweights import harness
 from steinweights.harness import (
     ExperimentConfig,
     ExperimentRecord,
@@ -194,6 +195,54 @@ class TestRunExperiment:
         rows = summarize(result.records)
         assert all(row.trials_ok == 0 and row.trials_failed == 2 for row in rows)
         assert all(math.isnan(row.mse) for row in rows)
+
+    def test_diverging_chain_marked_failed(self):
+        # SGLD with a huge step sends every chain to infinity. The
+        # non-finite points must fail the trial, not abort the run.
+        cfg = ExperimentConfig.from_dict({
+            "seed": 1,
+            "target": {"kind": "probit_simulated", "n_data": 50, "dimension": 3,
+                       "seed": 42},
+            "sampler": {"kind": "sgld", "step_size": 1e3, "n_steps": 100,
+                        "minibatch_size": 50},
+            "ground_truth": {"kind": "mala_oracle", "draws": 2_000, "burn_in": 200,
+                             "seed": 7},
+            "n_grid": [20],
+            "trials": 1,
+            "schemes": [{"kind": "uniform"}, {"kind": "stein"}],
+            "test_functions": ["coordinate_mean"],
+        })
+        with np.errstate(all="ignore"):
+            result = run_experiment(cfg)
+        assert len(result.records) == 2 * 3
+        assert {r.status for r in result.records} == {"failed"}
+
+    def test_workers_do_not_rewrite_dataset(self, tmp_path, monkeypatch):
+        dataset = tmp_path / "probit.csv"
+        stamps = []
+        write = harness.write_probit_dataset
+
+        def write_and_stamp(path, model):
+            write(path, model)
+            stamps.append(os.stat(path).st_mtime_ns)
+
+        monkeypatch.setattr(harness, "write_probit_dataset", write_and_stamp)
+        monkeypatch.setenv("STEINWEIGHTS_PARALLEL", "2")
+        run_experiment({
+            "seed": 3,
+            "target": {"kind": "probit_simulated", "n_data": 20, "dimension": 2,
+                       "seed": 4, "dataset_out": str(dataset)},
+            "sampler": {"kind": "sgld", "step_size": 0.01, "n_steps": 5,
+                        "minibatch_size": 10},
+            "ground_truth": {"kind": "mala_oracle", "draws": 500, "burn_in": 100,
+                             "seed": 6},
+            "n_grid": [10],
+            "trials": 2,
+            "schemes": [{"kind": "uniform"}],
+            "test_functions": ["coordinate_mean"],
+        })
+        assert len(stamps) == 1
+        assert os.stat(dataset).st_mtime_ns == stamps[0]
 
     def test_parallel_matches_serial(self, tmp_path):
         serial_dir = tmp_path / "serial"

@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from steinweights.errors import UnsupportedConfigurationError
+from steinweights.kernels import RbfKernel, median_heuristic_bandwidth
+from steinweights.samplers import sample_gmm_iid
 from steinweights.simplex_qp import (
+    _ARMIJO_FRACTION,
+    _MAX_BACKTRACKS,
     QpProblem,
+    _lmo_vertex,
     solve,
     solve_frank_wolfe,
     solve_mirror_descent,
 )
+from steinweights.stein import stein_gram
+from steinweights.targets import random_gaussian_mixture
 from support import enumerate_qp_optimum, grid_qp_optimum, random_psd
 
 
@@ -146,3 +153,195 @@ class TestEnumerationOracle:
             scale = max(abs(best), 1e-30)
             assert abs(fw.objective - best) / scale < 1e-6
             assert fw.weights.min() >= lb - 1e-12
+
+
+def _reference_mirror_descent(problem, max_iters, tol=1e-10):
+    """The mirror-descent loop as it was before products with K were shared:
+    it scores a candidate with (c K) c and recomputes K w after acceptance.
+    Returns (weights, objective, iterations, converged, gap)."""
+    mat = problem.gram
+    n = problem.n
+    w = np.full(n, 1.0 / n)
+    obj = float(w @ mat @ w)
+    eta = 1.0 / (2.0 * float(np.max(np.abs(mat))))
+    converged = False
+    iterations = 0
+    grad = 2.0 * (mat @ w)
+    for _ in range(max_iters):
+        accepted = False
+        for _ in range(_MAX_BACKTRACKS):
+            z = -eta * grad
+            z -= np.max(z)
+            candidate = w * np.exp(z)
+            total = float(candidate.sum())
+            if total <= 0.0 or not np.isfinite(total):
+                eta *= 0.5
+                continue
+            candidate /= total
+            cand_obj = float(candidate @ mat @ candidate)
+            predicted = float(grad @ (w - candidate))
+            if cand_obj <= obj - _ARMIJO_FRACTION * predicted:
+                accepted = True
+                break
+            eta *= 0.5
+        if not accepted:
+            converged = True
+            break
+        iterations += 1
+        decrease = obj - cand_obj
+        w = candidate
+        obj = cand_obj
+        grad = 2.0 * (mat @ w)
+        eta *= 2.0
+        if decrease <= tol * max(abs(obj), 1e-300):
+            converged = True
+            break
+    w = w / float(w.sum())
+    _, vertex = _lmo_vertex(grad, 0.0)
+    return w, obj, iterations, converged, float(grad @ (w - vertex))
+
+
+def _reference_frank_wolfe(problem, max_iters, tol):
+    """The Frank-Wolfe loop as it was before products with K were shared:
+    it recomputes K w for the gradient and (w K) w for the objective.
+    Returns (weights, objective, iterations, converged, gap)."""
+    mat = problem.gram
+    n = problem.n
+    lb = problem.lower_bound
+    span = 1.0 - n * lb
+    w = np.full(n, 1.0 / n)
+    obj = float(w @ mat @ w)
+    converged = False
+    iterations = 0
+    gap = np.inf
+    for _ in range(max_iters):
+        grad = 2.0 * (mat @ w)
+        _, vertex = _lmo_vertex(grad, lb)
+        gap = float(grad @ (w - vertex))
+        if gap <= tol:
+            converged = True
+            break
+        fw_direction = vertex - w
+        active = w > lb
+        masked = np.where(active, grad, -np.inf)
+        a_idx = int(np.argmax(masked))
+        away_vertex = np.full(n, lb)
+        away_vertex[a_idx] = lb + span
+        away_gap = float(grad @ (away_vertex - w))
+        if gap >= away_gap:
+            direction, step_cap, drop_idx, directional = fw_direction, 1.0, None, gap
+        else:
+            direction = w - away_vertex
+            u_a = (w[a_idx] - lb) / span
+            if u_a >= 1.0:
+                direction, step_cap, drop_idx, directional = fw_direction, 1.0, None, gap
+            else:
+                step_cap = u_a / (1.0 - u_a)
+                drop_idx = a_idx
+                directional = away_gap
+        curvature = float(direction @ mat @ direction)
+        if curvature <= 0.0:
+            step = step_cap
+        else:
+            step = min(step_cap, directional / (2.0 * curvature))
+        if step <= 0.0:
+            converged = True
+            break
+        w = w + step * direction
+        if drop_idx is not None and step == step_cap:
+            w[drop_idx] = lb
+        elif drop_idx is None and step == 1.0:
+            w = vertex.copy()
+        obj = float(w @ mat @ w)
+        iterations += 1
+    w = w / float(w.sum())
+    return w, obj, iterations, converged, float(gap)
+
+
+def _stein_gram_matrix(n=100, seed=0):
+    target = random_gaussian_mixture(
+        n_components=20, dimension=2, seed=3, mean_range=(-3.0, 3.0)
+    )
+    points = sample_gmm_iid(target, n, np.random.default_rng(seed))
+    kernel = RbfKernel(median_heuristic_bandwidth(points))
+    return stein_gram(target.as_target(), kernel, points).matrix
+
+
+def _reference_cases():
+    yield _stein_gram_matrix(), 300
+    for seed in range(6):
+        rng = np.random.default_rng(900 + seed)
+        yield random_psd(rng, int(rng.integers(3, 30))), 500
+
+
+class _CountingGram(np.ndarray):
+    """Gram view that counts its products with a vector from either side."""
+
+    def __matmul__(self, other):
+        self.products += 1
+        return np.asarray(self) @ other
+
+    def __rmatmul__(self, other):
+        self.products += 1
+        return other @ np.asarray(self)
+
+
+def _counting_problem(mat, lower_bound=0.0):
+    problem = QpProblem(gram=mat, lower_bound=lower_bound)
+    counting = problem.gram.view(_CountingGram)
+    counting.products = 0
+    object.__setattr__(problem, "gram", counting)
+    return problem, counting
+
+
+def _assert_matches_reference(sol, reference):
+    weights, objective, iterations, converged, gap = reference
+    np.testing.assert_array_equal(sol.weights, weights)
+    assert sol.iterations == iterations
+    assert sol.converged == converged
+    assert sol.gap == gap
+    assert sol.objective == pytest.approx(objective, rel=1e-12)
+    assert sol.objective_trace[-1] == sol.objective
+
+
+class TestSharedGramProduct:
+    """Sharing K w between the objective and the next gradient must leave
+    every decision of the pre-sharing loops unchanged."""
+
+    def test_mirror_descent_matches_reference(self):
+        for mat, iters in _reference_cases():
+            problem = QpProblem(gram=mat)
+            sol = solve_mirror_descent(problem, max_iters=iters)
+            _assert_matches_reference(sol, _reference_mirror_descent(problem, iters))
+
+    def test_frank_wolfe_matches_reference(self):
+        for mat, iters in _reference_cases():
+            n = mat.shape[0]
+            for lb in (0.0, -0.5 / n):
+                problem = QpProblem(gram=mat, lower_bound=lb)
+                tol = 1e-10 * n * max(float(np.max(np.diag(problem.gram))), 0.0)
+                sol = solve_frank_wolfe(problem, max_iters=iters)
+                _assert_matches_reference(
+                    sol, _reference_frank_wolfe(problem, iters, tol)
+                )
+
+    def test_mirror_descent_one_product_per_scored_candidate(self):
+        # With c scored candidates and i accepted steps, the reference
+        # loop forms 2 + c + i products: the start's objective and
+        # gradient, one per candidate and one fresh gradient per accepted
+        # step. Sharing K c leaves 1 + c.
+        problem, counting = _counting_problem(_stein_gram_matrix())
+        sol = solve_mirror_descent(problem, max_iters=300)
+        shared = counting.products
+        counting.products = 0
+        _reference_mirror_descent(problem, 300)
+        assert sol.iterations == 300
+        assert shared == counting.products - sol.iterations - 1
+
+    def test_frank_wolfe_two_products_per_iteration(self):
+        mat = _stein_gram_matrix()
+        for lb in (0.0, -0.005):
+            problem, counting = _counting_problem(mat, lower_bound=lb)
+            sol = solve_frank_wolfe(problem, max_iters=300)
+            assert sol.iterations == 300
+            assert counting.products == 1 + 2 * sol.iterations
