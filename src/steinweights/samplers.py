@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFinitePointsError
 from .stein import ScoreTarget
 from .targets import GaussianMixture
 
@@ -103,22 +104,26 @@ def mala_log_acceptance(
     return log_p_prop - log_p_cur + correction
 
 
-def _pregenerate(config: ChainConfig, dimension: int, want_uniforms: bool):
-    """Draw per-chain noise up front so the dynamics can run chain-batched."""
+def _pregenerate(
+    config: ChainConfig, dimension: int, step_draw, draw_shape=(), draw_dtype=float
+):
+    """Draw per-chain randomness up front so the dynamics can run chain-batched.
+
+    Chain c draws its init, then per step d noise normals followed by
+    ``step_draw(rng)``, one value of shape ``draw_shape`` (the acceptance
+    uniform for MALA, the minibatch indices for SGLD).
+    """
     c, t, d = config.n_chains, config.n_steps, dimension
     inits = np.empty((c, d))
     noise = np.empty((c, t, d))
-    uniforms = np.empty((c, t)) if want_uniforms else None
-    generators = []
+    draws = np.empty((c, t) + tuple(draw_shape), dtype=draw_dtype)
     for i in range(c):
         rng = _chain_generator(config.seed, i)
         inits[i] = config.init_scale * rng.standard_normal(d)
         for step in range(t):
             noise[i, step] = rng.standard_normal(d)
-            if want_uniforms:
-                uniforms[i, step] = rng.uniform()
-        generators.append(rng)
-    return inits, noise, uniforms, generators
+            draws[i, step] = step_draw(rng)
+    return inits, noise, draws
 
 
 def mala_chains(target: ScoreTarget, config: ChainConfig) -> np.ndarray:
@@ -130,7 +135,7 @@ def mala_chains(target: ScoreTarget, config: ChainConfig) -> np.ndarray:
     if target.log_density is None:
         raise ValueError("MALA needs a target log-density for the accept step")
     d = target.dimension
-    inits, noise, uniforms, _ = _pregenerate(config, d, want_uniforms=True)
+    inits, noise, uniforms = _pregenerate(config, d, lambda rng: rng.uniform())
     x = inits
     if config.n_steps == 0:
         return x
@@ -169,6 +174,9 @@ def sgld_chains(model, config: ChainConfig) -> np.ndarray:
     must expose ``n_data``, ``dimension``, ``prior_score`` and
     ``data_score_minibatch``. With ``minibatch_size == n_data`` the drift is
     the full-data gradient; with ``step_size == 0`` points do not move.
+
+    Raises :class:`~steinweights.errors.NonFinitePointsError`, naming the
+    step and the first such chain, as soon as any chain is non-finite.
     """
     m = config.minibatch_size
     if m is None:
@@ -176,25 +184,30 @@ def sgld_chains(model, config: ChainConfig) -> np.ndarray:
     n_data = model.n_data
     if m > n_data:
         raise ValueError(f"minibatch_size {m} exceeds data size {n_data}")
-    d = model.dimension
-    c, t = config.n_chains, config.n_steps
-    inits = np.empty((c, d))
-    noise = np.empty((c, t, d))
-    batches = np.empty((c, t, m), dtype=np.int64)
-    for i in range(c):
-        rng = _chain_generator(config.seed, i)
-        inits[i] = config.init_scale * rng.standard_normal(d)
-        for step in range(t):
-            noise[i, step] = rng.standard_normal(d)
-            batches[i, step] = rng.choice(n_data, size=m, replace=False)
-    x = inits
+    x, noise, batches = _pregenerate(
+        config,
+        model.dimension,
+        lambda rng: rng.choice(n_data, size=m, replace=False),
+        draw_shape=(m,),
+        draw_dtype=np.int64,
+    )
     eps = config.step_size
     scale = n_data / m
-    for step in range(t):
-        drift = model.prior_score(x) + scale * model.data_score_minibatch(
-            x, batches[:, step]
-        )
-        x = x + 0.5 * eps * drift + np.sqrt(eps) * noise[:, step]
+    # A step that overflows leaves a non-finite chain, which raises below;
+    # the error replaces numpy's floating-point warnings for that step.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for step in range(config.n_steps):
+            drift = model.prior_score(x) + scale * model.data_score_minibatch(
+                x, batches[:, step]
+            )
+            x = x + 0.5 * eps * drift + np.sqrt(eps) * noise[:, step]
+            finite = np.all(np.isfinite(x), axis=1)
+            if not finite.all():
+                chain = int(np.argmin(finite))
+                raise NonFinitePointsError(
+                    f"SGLD chain {chain} became non-finite at step {step + 1} "
+                    f"of {config.n_steps}"
+                )
     return x
 
 

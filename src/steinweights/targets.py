@@ -191,6 +191,7 @@ class ProbitModel:
     labels: np.ndarray
     prior_variance: float = 0.1
     true_coefficients: np.ndarray | None = field(default=None, compare=False)
+    signs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
@@ -207,6 +208,9 @@ class ProbitModel:
             raise ValueError("prior_variance must be positive")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels.astype(np.int64))
+        # +1 / -1 per label: the log-likelihood term of observation i is
+        # log Phi(sign_i t_i), so each term is evaluated once, at one sign.
+        object.__setattr__(self, "signs", 2.0 * self.labels - 1.0)
 
     @property
     def dimension(self) -> int:
@@ -219,20 +223,18 @@ class ProbitModel:
     def log_density(self, points: np.ndarray) -> np.ndarray:
         """Unnormalized log-posterior: probit log-likelihood plus normal prior."""
         pts = np.asarray(points, dtype=float)
-        t = pts @ self.features.T
-        loglik = np.where(self.labels[None, :] == 1, log_ndtr(t), log_ndtr(-t))
+        loglik = log_ndtr(self.signs * (pts @ self.features.T))
         prior = -0.5 * np.sum(pts * pts, axis=1) / self.prior_variance
         return np.sum(loglik, axis=1) + prior
 
-    def _label_coefficients(self, t: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _label_coefficients(t: np.ndarray, signs: np.ndarray) -> np.ndarray:
         """d/dt of the per-observation log-likelihood at latent values t."""
-        pos = self.labels[None, :] == 1
-        return np.where(pos, _mills_ratio(t), -_mills_ratio(-t))
+        return signs * _mills_ratio(signs * t)
 
     def score(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        t = pts @ self.features.T
-        coef = self._label_coefficients(t)
+        coef = self._label_coefficients(pts @ self.features.T, self.signs)
         return coef @ self.features - pts / self.prior_variance
 
     def prior_score(self, points: np.ndarray) -> np.ndarray:
@@ -242,12 +244,15 @@ class ProbitModel:
         """Sum of per-observation log-likelihood gradients over a minibatch.
 
         ``batch_indices`` has one row of observation indices per point row.
+        For c points and m indices per row this costs O(c m d): only the
+        gathered observations are evaluated, whatever the data size N.
         """
         pts = np.asarray(points, dtype=float)
         idx = np.asarray(batch_indices)
-        t = pts @ self.features.T
-        coef = np.take_along_axis(self._label_coefficients(t), idx, axis=1)
-        return np.einsum("cm,cmd->cd", coef, self.features[idx])
+        feats = self.features[idx]
+        t = np.einsum("cd,cmd->cm", pts, feats)
+        coef = self._label_coefficients(t, self.signs[idx])
+        return np.einsum("cm,cmd->cd", coef, feats)
 
     def as_target(self) -> ScoreTarget:
         return ScoreTarget(

@@ -9,6 +9,7 @@ configs are pinned, seeds included, and rehearsed well inside the budget.
 import time
 
 import numpy as np
+import pytest
 
 from steinweights import baselines, simplex_qp
 from steinweights.harness import (
@@ -103,6 +104,7 @@ def test_criterion_02_kernel_derivatives_match_finite_differences():
     assert elapsed < 2.0, line
 
 
+@pytest.mark.slow
 def test_criterion_03_solvers_match_brute_force_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(31)
@@ -178,6 +180,7 @@ def test_criterion_04_minimized_discrepancy_dominates_feasible_baselines():
     assert worst_vs_is <= 1e-12, line
 
 
+@pytest.mark.slow
 def test_criterion_05_iid_rate_uniform_minus_one_stein_at_most():
     start = time.perf_counter()
     cfg = ExperimentConfig.from_dict({
@@ -250,6 +253,7 @@ def test_criterion_06_interpolation_endpoints():
     assert second_gap <= 1e-15, line
 
 
+@pytest.mark.slow
 def test_criterion_07_sgld_refinement_beats_uniform():
     start = time.perf_counter()
     cfg = ExperimentConfig.from_dict({

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from steinweights import harness
+from steinweights import harness, targets
 from steinweights.harness import (
     ExperimentConfig,
     ExperimentRecord,
@@ -21,6 +21,19 @@ from steinweights.harness import (
     write_records_csv,
 )
 from steinweights.targets import GaussianMixture
+
+
+# SGLD with a huge step sends every chain to infinity.
+DIVERGING_SGLD = {
+    "seed": 1,
+    "target": {"kind": "probit_simulated", "n_data": 50, "dimension": 3, "seed": 42},
+    "sampler": {"kind": "sgld", "step_size": 1e3, "n_steps": 100, "minibatch_size": 50},
+    "ground_truth": {"kind": "mala_oracle", "draws": 2_000, "burn_in": 200, "seed": 7},
+    "n_grid": [20],
+    "trials": 1,
+    "schemes": [{"kind": "uniform"}, {"kind": "stein"}],
+    "test_functions": ["coordinate_mean"],
+}
 
 
 def small_config(**overrides):
@@ -197,24 +210,27 @@ class TestRunExperiment:
         assert all(math.isnan(row.mse) for row in rows)
 
     def test_diverging_chain_marked_failed(self):
-        # SGLD with a huge step sends every chain to infinity. The
-        # non-finite points must fail the trial, not abort the run.
-        cfg = ExperimentConfig.from_dict({
-            "seed": 1,
-            "target": {"kind": "probit_simulated", "n_data": 50, "dimension": 3,
-                       "seed": 42},
-            "sampler": {"kind": "sgld", "step_size": 1e3, "n_steps": 100,
-                        "minibatch_size": 50},
-            "ground_truth": {"kind": "mala_oracle", "draws": 2_000, "burn_in": 200,
-                             "seed": 7},
-            "n_grid": [20],
-            "trials": 1,
-            "schemes": [{"kind": "uniform"}, {"kind": "stein"}],
-            "test_functions": ["coordinate_mean"],
-        })
+        # The non-finite points must fail the trial, not abort the run.
+        cfg = ExperimentConfig.from_dict(DIVERGING_SGLD)
         with np.errstate(all="ignore"):
             result = run_experiment(cfg)
         assert len(result.records) == 2 * 3
+        assert {r.status for r in result.records} == {"failed"}
+
+    def test_diverging_chain_stops_early(self, monkeypatch):
+        # The same diverging config: SGLD stops at the first non-finite
+        # step instead of running all 100, and the rows still read failed.
+        calls = []
+        minibatch = targets.ProbitModel.data_score_minibatch
+
+        def counting(self, points, batch_indices):
+            calls.append(len(points))
+            return minibatch(self, points, batch_indices)
+
+        monkeypatch.setattr(targets.ProbitModel, "data_score_minibatch", counting)
+        monkeypatch.delenv("STEINWEIGHTS_PARALLEL", raising=False)
+        result = run_experiment(DIVERGING_SGLD)
+        assert 0 < len(calls) < 100
         assert {r.status for r in result.records} == {"failed"}
 
     def test_workers_do_not_rewrite_dataset(self, tmp_path, monkeypatch):

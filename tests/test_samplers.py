@@ -1,10 +1,13 @@
 """Point generators: i.i.d. mixture draws, MALA chains, SGLD chains."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+from steinweights.errors import NonFinitePointsError
 from steinweights.samplers import (
     ChainConfig,
     mala_chain_moments,
@@ -85,6 +88,7 @@ class TestMalaChains:
         log_alpha = mala_log_acceptance(target, current, current, 0.5)
         assert log_alpha[0] == 0.0
 
+    @pytest.mark.slow
     def test_long_run_equilibrium_variance(self):
         target = standard_normal_target(1)
         out = mala_chain_moments(
@@ -159,6 +163,42 @@ class TestSgldChains:
             n_chains=5, n_steps=15, step_size=0.02, minibatch_size=10, seed=23
         )
         np.testing.assert_array_equal(sgld_chains(model, cfg), sgld_chains(model, cfg))
+
+
+class CountingModel:
+    """Delegates to a model and counts its minibatch score calls."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def data_score_minibatch(self, points, batch_indices):
+        self.calls += 1
+        return self.model.data_score_minibatch(points, batch_indices)
+
+
+class TestSgldDivergence:
+    def config(self, n_steps):
+        return ChainConfig(
+            n_chains=20, n_steps=n_steps, step_size=1e3, minibatch_size=50, seed=5
+        )
+
+    def test_stops_at_first_non_finite_step(self):
+        model = CountingModel(probit_simulate(n_data=50, dimension=3, seed=42))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinitePointsError) as info:
+                sgld_chains(model, self.config(100))
+        found = re.search(r"chain (\d+) became non-finite at step (\d+) of 100",
+                          str(info.value))
+        assert found
+        step = int(found.group(2))
+        assert model.calls == step < 100
+        # One step fewer leaves every chain finite.
+        assert np.all(np.isfinite(sgld_chains(model.model, self.config(step - 1))))
 
 
 class TestStepTuning:

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
+from steinweights import targets
 from steinweights.targets import (
     GaussianMixture,
     ProbitModel,
@@ -206,6 +208,71 @@ class TestProbitModel:
                 labels=np.array([2]),
                 prior_variance=0.1,
             )
+
+
+def both_sign_coefficients(model, t):
+    """Per-observation d/dt log-likelihood, evaluated at both signs then selected."""
+    pos = model.labels[None, :] == 1
+    return np.where(pos, targets._mills_ratio(t), -targets._mills_ratio(-t))
+
+
+def full_data_minibatch_score(model, pts, idx):
+    """Minibatch data score gathered from coefficients over all N observations."""
+    coef = both_sign_coefficients(model, pts @ model.features.T)
+    coef = np.take_along_axis(coef, idx, axis=1)
+    return np.einsum("cm,cmd->cd", coef, model.features[idx])
+
+
+class TestProbitSingleSign:
+    def setup_method(self):
+        self.model = probit_simulate(n_data=60, dimension=4, seed=21)
+        # Wide enough to reach both Mills-ratio tails for either label.
+        self.pts = np.random.default_rng(5).standard_normal((7, 4)) * 3.0
+
+    def batches(self, m, seed=8):
+        rng = np.random.default_rng(seed)
+        n = self.model.n_data
+        return np.stack([rng.choice(n, size=m, replace=False) for _ in self.pts])
+
+    @pytest.mark.parametrize("m", [5, 60])
+    def test_minibatch_matches_full_data_gather(self, m):
+        idx = self.batches(m)
+        np.testing.assert_allclose(
+            self.model.data_score_minibatch(self.pts, idx),
+            full_data_minibatch_score(self.model, self.pts, idx),
+            rtol=1e-12,
+        )
+
+    def test_full_batch_sums_to_data_score(self):
+        idx = np.tile(np.arange(self.model.n_data), (len(self.pts), 1))
+        data_score = self.model.score(self.pts) - self.model.prior_score(self.pts)
+        np.testing.assert_allclose(
+            self.model.data_score_minibatch(self.pts, idx), data_score,
+            rtol=1e-12, atol=1e-12 * np.max(np.abs(data_score)),
+        )
+
+    def test_score_and_log_density_bit_identical_to_both_sign_formulas(self):
+        model, pts = self.model, self.pts
+        t = pts @ model.features.T
+        prior_var = model.prior_variance
+        score = both_sign_coefficients(model, t) @ model.features - pts / prior_var
+        loglik = np.where(model.labels[None, :] == 1, log_ndtr(t), log_ndtr(-t))
+        log_density = np.sum(loglik, axis=1) - 0.5 * np.sum(pts * pts, axis=1) / prior_var
+        np.testing.assert_array_equal(model.score(pts), score)
+        np.testing.assert_array_equal(model.log_density(pts), log_density)
+
+    def test_minibatch_evaluates_only_gathered_entries(self, monkeypatch):
+        sizes = []
+        mills = targets._mills_ratio
+
+        def recording(t):
+            sizes.append(np.size(t))
+            return mills(t)
+
+        monkeypatch.setattr(targets, "_mills_ratio", recording)
+        m = 5
+        self.model.data_score_minibatch(self.pts, self.batches(m))
+        assert sum(sizes) == len(self.pts) * m
 
 
 class TestProbitSimulate:
