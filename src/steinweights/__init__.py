@@ -66,8 +66,6 @@ from .stein import (
     ExactMoments,
     ScoreTarget,
     SteinGram,
-    gram_from_bytes,
-    gram_to_bytes,
     ksd_weighted,
     stein_gram,
     stein_identity_check,

@@ -10,6 +10,7 @@ functional weights may be negative and need not sum to one) or exactness
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.special import gamma
 
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .kernels import pairwise_sq_dists
-from .stein import ScoreTarget, SteinGram
+from .stein import ScoreTarget, SteinGram, _psd_ridge, _ridge_cholesky
 
 __all__ = [
     "weights_uniform",
@@ -78,6 +79,21 @@ def weights_exact_is(
     return _self_normalized(ratios)
 
 
+def _system_abs_max(mat: np.ndarray, lam: float) -> float:
+    """max |K + 11' + lam I|, exactly, without forming the (n, n) system.
+
+    Off the diagonal the entries are fl(K_ij + 1), monotone in K_ij, so the
+    largest magnitude sits at the largest or the smallest off-diagonal K_ij.
+    """
+    n = mat.shape[0]
+    peak = float(np.max(np.abs(np.diagonal(mat) + 1.0 + lam)))
+    if n > 1:
+        # The first n columns of this view are the off-diagonal entries.
+        off = mat.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
+        peak = max(peak, abs(float(off.max()) + 1.0), abs(float(off.min()) + 1.0))
+    return peak
+
+
 def weights_control_functional(
     gram: SteinGram | np.ndarray,
     lam: float | None = None,
@@ -85,37 +101,46 @@ def weights_control_functional(
 ) -> np.ndarray:
     """Solve (K_p + ones + lam I) w = 1 for control-functional weights.
 
-    ``lam`` defaults to 1e-8 * n * max(diag K_p). The weights may be
-    negative and need not sum to one; ``normalize`` divides by the sum.
-    A singular but consistent system at lam = 0 falls back to the
-    minimum-norm solution; an inconsistent one raises :class:`SolverError`
-    advising a positive lam.
+    ``lam`` defaults to 1e-8 * n * max(diag K_p), which is the ridge of the
+    Gram's PSD check. With A = K_p + lam I positive definite, the solve is
+    Sherman-Morrison from a Cholesky factor of A: u = A^-1 1 and
+    w = u / (1 + 1'u). For a :class:`SteinGram` at its ridge that factor is
+    the one construction already computed, so the solve is two triangular
+    solves. The weights may be negative and need not sum to one;
+    ``normalize`` divides by the sum. If A has no Cholesky factor, or the
+    residual is too large, least squares takes over: a singular but
+    consistent system at lam = 0 gets the minimum-norm solution; an
+    inconsistent one raises :class:`SolverError` advising a positive lam.
     """
     mat = gram.matrix if isinstance(gram, SteinGram) else np.asarray(gram, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"gram must be square, got {mat.shape}")
     n = mat.shape[0]
     if lam is None:
-        lam = 1e-8 * n * max(float(np.max(np.diag(mat))), 0.0)
+        lam = _psd_ridge(mat)
     lam = float(lam)
     if lam < 0.0 or not np.isfinite(lam):
         raise ValueError("lam must be nonnegative and finite")
-    system = mat + 1.0 + lam * np.eye(n)
+    if isinstance(gram, SteinGram) and lam == gram.ridge:
+        factor = gram.factor
+    else:
+        factor = _ridge_cholesky(mat, lam)
     rhs = np.ones(n)
-    try:
-        weights = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        weights = None
-    scale = max(1.0, float(np.max(np.abs(system))))
-    tol = 1e-8 * n * scale
-    if weights is None or not np.all(np.isfinite(weights)) or (
-        float(np.max(np.abs(system @ weights - rhs))) > tol
-    ):
-        weights, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        residual = float(np.max(np.abs(system @ weights - rhs)))
-        if not np.all(np.isfinite(weights)) or residual > tol:
+    weights = None
+    if factor is not None:
+        u, _ = lapack.dpotrs(factor, rhs, lower=1)
+        weights = u / (1.0 + float(u.sum()))
+
+    def residual(w: np.ndarray) -> float:
+        return float(np.max(np.abs(mat @ w + float(w.sum()) + lam * w - rhs)))
+
+    tol = 1e-8 * n * max(1.0, _system_abs_max(mat, lam))
+    if weights is None or not np.all(np.isfinite(weights)) or residual(weights) > tol:
+        weights, *_ = np.linalg.lstsq(mat + 1.0 + lam * np.eye(n), rhs, rcond=None)
+        miss = residual(weights)
+        if not np.all(np.isfinite(weights)) or miss > tol:
             raise SolverError(
-                f"linear system is inconsistent (residual {residual:.3e}); "
+                f"linear system is inconsistent (residual {miss:.3e}); "
                 "use a positive lam"
             )
     if normalize:

@@ -47,23 +47,25 @@ _ARMIJO_FRACTION = 0.25
 class QpProblem:
     """Quadratic program min w' K w subject to sum(w) = 1, w_i >= lower_bound.
 
-    ``gram`` may be a :class:`SteinGram` or a plain square array; the matrix
-    is symmetrized since only its symmetric part enters the quadratic form.
-    ``lower_bound`` must satisfy n * lower_bound <= 1 so the region is
-    non-empty; zero gives the probability simplex.
+    ``gram`` may be a :class:`SteinGram` or a plain square array; a plain
+    array is symmetrized since only its symmetric part enters the quadratic
+    form. A SteinGram's matrix is used as is: it is already finite and
+    exactly symmetric. ``lower_bound`` must satisfy n * lower_bound <= 1 so
+    the region is non-empty; zero gives the probability simplex.
     """
 
     gram: np.ndarray
     lower_bound: float = 0.0
 
     def __post_init__(self):
-        mat = self.gram.matrix if isinstance(self.gram, SteinGram) else self.gram
-        mat = np.asarray(mat, dtype=float)
+        validated = isinstance(self.gram, SteinGram)
+        mat = self.gram.matrix if validated else np.asarray(self.gram, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError(f"gram must be a non-empty square matrix, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("gram must be finite")
-        mat = 0.5 * (mat + mat.T)
+        if not validated:
+            if not np.all(np.isfinite(mat)):
+                raise ValueError("gram must be finite")
+            mat = 0.5 * (mat + mat.T)
         object.__setattr__(self, "gram", mat)
         lb = float(self.lower_bound)
         if not np.isfinite(lb):

@@ -14,12 +14,11 @@ K_p measures how far the weighted sample is from p.
 
 from __future__ import annotations
 
-import hashlib
-import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import GramIntegrityError, ScoreEvaluationError
 from .kernels import RbfKernel, pairwise_sq_dists
@@ -33,18 +32,16 @@ __all__ = [
     "stein_gram",
     "ksd_weighted",
     "stein_identity_check",
-    "gram_to_bytes",
-    "gram_from_bytes",
 ]
 
-# Tolerances for Gram integrity checks, relative to matrix scale.
+# Tolerances for Gram integrity checks, relative to matrix scale. The PSD
+# check accepts a Gram whose smallest eigenvalue is at least -ridge, with
+# ridge = 1e-8 * n * max(diag, 0), at every n: a Cholesky factorization of
+# K + ridge * I that succeeds accepts, and only if it fails does an
+# eigensolve decide.
 _SYMMETRY_RTOL = 1e-12
 _PSD_RTOL = 1e-8
 _KSD_CLAMP_RTOL = 1e-10
-# Full eigenvalue validation is cubic in n; above this size construction
-# checks only symmetry and finiteness, and ksd_weighted still rejects
-# negative quadratic forms beyond the PSD slack.
-_PSD_CHECK_MAX_N = 1024
 
 
 @dataclass(frozen=True)
@@ -132,50 +129,74 @@ class ScoreTarget:
         return float(out[0]) if single else out
 
 
-def _points_digest(points: np.ndarray) -> str:
-    pts = np.ascontiguousarray(points, dtype=float)
-    hasher = hashlib.sha256()
-    hasher.update(str(pts.shape).encode())
-    hasher.update(pts.tobytes())
-    return hasher.hexdigest()
+def _psd_ridge(mat: np.ndarray) -> float:
+    """PSD slack of a non-empty square matrix, 1e-8 * n * max(diag, 0)."""
+    return _PSD_RTOL * mat.shape[0] * max(float(np.max(np.diag(mat))), 0.0)
+
+
+def _ridge_cholesky(mat: np.ndarray, ridge: float) -> np.ndarray | None:
+    """Lower Cholesky factor of mat + ridge * I, or None if it does not exist.
+
+    Factors one (n, n) copy in place. LAPACK reads one triangle only, so
+    ``mat`` must be symmetric. The factor is Fortran-ordered, the layout
+    ``lapack.dpotrs`` takes without a copy.
+    """
+    a = np.array(mat, dtype=float, order="C")
+    a.ravel()[:: a.shape[0] + 1] += ridge
+    factor, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1)
+    return factor if info == 0 else None
 
 
 @dataclass(frozen=True)
 class SteinGram:
     """Symmetric PSD Gram matrix of the score-weighted kernel on a point set.
 
-    Construction validates symmetry to 1e-12 relative to the largest entry.
-    Up to 1024 points it also checks the smallest eigenvalue against
-    -1e-8 * n * max(diag); beyond that the cubic-cost eigensolve is skipped
-    and indefiniteness surfaces through :func:`ksd_weighted`. The digest
-    identifies the point set the matrix was built from.
+    Construction validates symmetry to 1e-12 relative to the largest entry
+    and stores the symmetric part, so ``matrix`` is exactly symmetric.
+    At every n it then checks the smallest eigenvalue against -ridge, with
+    ``ridge`` = 1e-8 * n * max(diag): one Cholesky factorization of
+    K + ridge * I accepts the matrix, and only if it fails does an
+    eigensolve decide. ``factor`` keeps that lower Cholesky factor (None if
+    the factorization failed on an accepted matrix, such as the zero
+    matrix) for solves with K + ridge * I.
     """
 
     matrix: np.ndarray
     kernel: RbfKernel
-    points_digest: str = field(default="")
+    # Set only by stein_gram, whose output is exactly symmetric by
+    # construction, to skip the O(n^2) symmetry comparison.
+    _mirrored: InitVar[bool] = False
+    ridge: float = field(init=False)
+    factor: np.ndarray | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _mirrored: bool):
         mat = np.asarray(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"Gram matrix must be square, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise GramIntegrityError("Gram matrix contains non-finite entries")
-        object.__setattr__(self, "matrix", mat)
-        scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-        asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-        if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
-            raise GramIntegrityError(
-                f"Gram matrix asymmetry {asym:.3e} exceeds tolerance for scale {scale:.3e}"
-            )
-        n = mat.shape[0]
-        if 0 < n <= _PSD_CHECK_MAX_N:
-            lam_min = float(np.linalg.eigvalsh(mat)[0])
-            floor = -_PSD_RTOL * n * max(float(np.max(np.diag(mat))), 0.0)
-            if lam_min < floor:
+        if not _mirrored and mat.size:
+            scale = float(np.max(np.abs(mat)))
+            asym = float(np.max(np.abs(mat - mat.T)))
+            if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
                 raise GramIntegrityError(
-                    f"Gram matrix min eigenvalue {lam_min:.3e} below PSD floor {floor:.3e}"
+                    f"Gram matrix asymmetry {asym:.3e} exceeds tolerance for scale {scale:.3e}"
                 )
+            if asym:
+                mat = 0.5 * (mat + mat.T)
+        object.__setattr__(self, "matrix", mat)
+        ridge, factor = 0.0, None
+        if mat.size:
+            ridge = _psd_ridge(mat)
+            factor = _ridge_cholesky(mat, ridge)
+            if factor is None:
+                lam_min = float(np.linalg.eigvalsh(mat)[0])
+                if lam_min < -ridge:
+                    raise GramIntegrityError(
+                        f"Gram matrix min eigenvalue {lam_min:.3e} below PSD floor {-ridge:.3e}"
+                    )
+        object.__setattr__(self, "ridge", ridge)
+        object.__setattr__(self, "factor", factor)
 
     @property
     def n(self) -> int:
@@ -228,7 +249,8 @@ def stein_gram(target: ScoreTarget, kernel: RbfKernel, points: np.ndarray) -> St
     """Assemble the full score-weighted Gram matrix on a point set.
 
     The matrix is computed vectorized and then mirrored from its upper
-    triangle so the stored result is exactly symmetric. Entries agree with
+    triangle so the stored result is exactly symmetric, and
+    :class:`SteinGram` skips its symmetry comparison. Entries agree with
     :func:`stein_kernel_eval` applied pairwise.
     """
     pts = np.asarray(points, dtype=float)
@@ -266,7 +288,7 @@ def stein_gram(target: ScoreTarget, kernel: RbfKernel, points: np.ndarray) -> St
     # allocating triangular copies.
     for i in range(n - 1):
         bracket[i + 1 :, i] = bracket[i, i + 1 :]
-    return SteinGram(matrix=bracket, kernel=kernel, points_digest=_points_digest(pts))
+    return SteinGram(matrix=bracket, kernel=kernel, _mirrored=True)
 
 
 def ksd_weighted(gram: SteinGram | np.ndarray, weights: np.ndarray) -> float:
@@ -341,25 +363,3 @@ def stein_identity_check(
         num = float(np.trapezoid(np.trapezoid(dens * vals, gy, axis=1), gx))
         return num / mass
     raise ValueError("identity check supports dimension 1 or 2 targets only")
-
-
-def gram_to_bytes(gram: SteinGram) -> bytes:
-    """Serialize the Gram matrix: 8-byte little-endian size then row-major float64."""
-    mat = np.ascontiguousarray(gram.matrix, dtype="<f8")
-    return struct.pack("<Q", gram.n) + mat.tobytes(order="C")
-
-
-def gram_from_bytes(
-    data: bytes, kernel: RbfKernel, points_digest: str = ""
-) -> SteinGram:
-    """Inverse of :func:`gram_to_bytes`; revalidates the matrix on load."""
-    if len(data) < 8:
-        raise ValueError("truncated Gram serialization")
-    (n,) = struct.unpack("<Q", data[:8])
-    expected = 8 + 8 * n * n
-    if len(data) != expected:
-        raise ValueError(
-            f"Gram serialization length {len(data)} does not match header size {n}"
-        )
-    mat = np.frombuffer(data, dtype="<f8", offset=8).reshape(n, n).astype(float)
-    return SteinGram(matrix=mat, kernel=kernel, points_digest=points_digest)

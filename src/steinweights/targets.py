@@ -12,7 +12,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, logsumexp, ndtr
+from scipy.special import erfcx, log_ndtr, ndtr
 
 from .stein import ExactMoments, ScoreTarget
 
@@ -28,6 +28,29 @@ __all__ = [
 ]
 
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over the rows of a 2-d array, keeping the axis: (n, 1).
+
+    Takes the steps of ``scipy.special.logsumexp(a, axis=1, keepdims=True)``
+    (scipy 1.17) without its per-call overhead: the row maximum, the count
+    m of entries equal to it, the sum s of exp(a - max) over the others,
+    s / m unless s is 0, then log1p(s) + log(m) + max. A non-finite result,
+    such as a row that is all -inf, is replaced by log(sum(exp(a))).
+    """
+    peak = a.max(axis=1, keepdims=True)
+    top = a == peak
+    count = top.sum(axis=1, keepdims=True, dtype=a.dtype)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.exp(np.where(top, -np.inf, a) - peak).sum(axis=1, keepdims=True)
+        rest = np.where(rest == 0, rest, rest / count)
+        out = np.log1p(rest) + np.log(count) + peak
+    bad = ~np.isfinite(out[:, 0])
+    if bad.any():
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out[bad, 0] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -86,13 +109,13 @@ class GaussianMixture:
     def log_density(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         comp = self._component_log_densities(pts)
-        return logsumexp(comp + np.log(self.weights)[None, :], axis=1)
+        return _logsumexp_rows(comp + np.log(self.weights)[None, :])[:, 0]
 
     def score(self, points: np.ndarray) -> np.ndarray:
         """Gradient of the log-density, a responsibility-weighted pull to means."""
         pts = np.asarray(points, dtype=float)
         comp = self._component_log_densities(pts) + np.log(self.weights)[None, :]
-        comp = comp - logsumexp(comp, axis=1, keepdims=True)
+        comp = comp - _logsumexp_rows(comp)
         resp = np.exp(comp)
         pull = (self.means[None, :, :] - pts[:, None, :]) / self.variances[None, :, None]
         return np.einsum("nj,njd->nd", resp, pull)

@@ -14,7 +14,11 @@ from steinweights.baselines import (
     weights_kde,
     weights_uniform,
 )
-from steinweights.errors import DegenerateWeightsError, UnsupportedConfigurationError
+from steinweights.errors import (
+    DegenerateWeightsError,
+    SolverError,
+    UnsupportedConfigurationError,
+)
 from steinweights.kernels import RbfKernel
 from steinweights.stein import SteinGram, stein_gram
 from steinweights.targets import random_gaussian_mixture, standard_normal_target
@@ -96,6 +100,69 @@ class TestControlFunctional:
             system = gram.matrix + 1.0 + lam * np.eye(n)
             residual = np.max(np.abs(system @ w - 1.0))
             assert residual < 1e-8 * n
+
+
+class TestControlFunctionalFromFactor:
+    def seeded_gram(self, n=200):
+        target = random_gaussian_mixture(6, 2, seed=3).as_target()
+        pts = np.random.default_rng(2024).standard_normal((n, 2)) * 1.5
+        return stein_gram(target, RbfKernel(1.0), pts)
+
+    def test_default_lam_matches_dense_solve(self):
+        # The system's condition number is about 4e6, so two correct solvers
+        # agree to about 1e-10 of max|w|, not of each small entry.
+        gram = self.seeded_gram()
+        lam = 1e-8 * gram.n * gram.matrix.diagonal().max()
+        assert lam == gram.ridge
+        expect = np.linalg.solve(gram.matrix + 1.0 + lam * np.eye(gram.n), np.ones(gram.n))
+        for normalize, ref in ((False, expect), (True, expect / expect.sum())):
+            w = weights_control_functional(gram, normalize=normalize)
+            assert np.max(np.abs(w - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+    def test_plain_array_matches_dense_solve(self):
+        mat = self.seeded_gram(50).matrix.copy()
+        for lam in (None, 0.0, 1e-3):
+            ridge = 1e-8 * 50 * mat.diagonal().max() if lam is None else lam
+            expect = np.linalg.solve(mat + 1.0 + ridge * np.eye(50), np.ones(50))
+            w = weights_control_functional(mat, lam=lam)
+            assert np.max(np.abs(w - expect)) <= 1e-8 * np.max(np.abs(expect))
+
+    def test_nonsymmetric_plain_array_solves_stated_system(self):
+        mat = np.array([[2.0, 0.5, 0.0], [-0.5, 3.0, 1.0], [0.0, 0.2, 1.0]])
+        expect = np.linalg.solve(mat + 1.0, np.ones(3))
+        np.testing.assert_allclose(weights_control_functional(mat, lam=0.0), expect, rtol=1e-10)
+
+    def test_zero_plain_array_min_norm_solution(self):
+        w = weights_control_functional(np.zeros((2, 2)), lam=0.0)
+        np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-10)
+
+    def test_inconsistent_system_raises_solver_error(self):
+        # K + 11' is the zero matrix: no w solves 0 w = 1.
+        with pytest.raises(SolverError, match="positive lam"):
+            weights_control_functional(-np.ones((2, 2)), lam=0.0)
+
+    def test_no_refactorization_eigensolve_or_lu(self, monkeypatch):
+        from scipy import linalg
+        from scipy.linalg import lapack
+
+        calls = []
+        potrf = lapack.dpotrf
+
+        def counting_potrf(*args, **kwargs):
+            calls.append(args[0].shape)
+            return potrf(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a valid Gram needs no eigensolve or LU solve")
+
+        monkeypatch.setattr(lapack, "dpotrf", counting_potrf)
+        for owner, attr in [(np.linalg, "eigvalsh"), (np.linalg, "solve"),
+                            (np.linalg, "lstsq"), (linalg, "solve"),
+                            (lapack, "dgesv"), (lapack, "dgetrf")]:
+            monkeypatch.setattr(owner, attr, forbidden)
+        gram = self.seeded_gram(120)
+        weights_control_functional(gram, normalize=True)
+        assert calls == [(120, 120)]
 
 
 class TestKdeBandwidth:

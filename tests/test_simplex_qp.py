@@ -95,6 +95,15 @@ class TestDispatch:
         with pytest.raises(ValueError):
             QpProblem(gram=np.eye(3), lower_bound=0.5)
 
+    def test_stein_gram_matrix_used_without_copy(self):
+        target = random_gaussian_mixture(3, 2, seed=1).as_target()
+        pts = np.random.default_rng(3).standard_normal((30, 2))
+        gram = stein_gram(target, RbfKernel(1.0), pts)
+        assert QpProblem(gram=gram).gram is gram.matrix
+        plain = QpProblem(gram=gram.matrix)
+        assert plain.gram is not gram.matrix
+        np.testing.assert_array_equal(plain.gram, gram.matrix)
+
 
 class TestSolverAgreement:
     def test_cross_solver_objective_match(self):

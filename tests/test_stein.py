@@ -10,8 +10,6 @@ from steinweights.kernels import RbfKernel, kernel_cross_trace
 from steinweights.stein import (
     ScoreTarget,
     SteinGram,
-    gram_from_bytes,
-    gram_to_bytes,
     ksd_weighted,
     stein_gram,
     stein_identity_check,
@@ -157,7 +155,6 @@ class TestKsdWeighted:
         gram = SteinGram.__new__(SteinGram)
         object.__setattr__(gram, "matrix", np.array([[1.0, -2.0], [-2.0, 1.0]]))
         object.__setattr__(gram, "kernel", RbfKernel(1.0))
-        object.__setattr__(gram, "points_digest", "")
         with pytest.raises(GramIntegrityError):
             ksd_weighted(gram, np.array([0.5, 0.5]))
 
@@ -187,18 +184,66 @@ class TestSteinIdentity:
             )
 
 
-class TestGramSerialization:
-    def test_round_trip_is_exact(self):
-        target = standard_normal_target(2)
-        rng = np.random.default_rng(21)
-        pts = rng.standard_normal((7, 2))
-        gram = stein_gram(target, RbfKernel(1.2), pts)
-        clone = gram_from_bytes(gram_to_bytes(gram), kernel=gram.kernel)
-        np.testing.assert_array_equal(clone.matrix, gram.matrix)
+def rank_one_dip(n, dip):
+    """I - (1 + dip) u u' for a dense unit u with u_0 = 0.
 
-    def test_truncated_payload_rejected(self):
-        target = standard_normal_target(1)
-        gram = stein_gram(target, RbfKernel(1.0), np.array([[0.0], [1.0]]))
-        payload = gram_to_bytes(gram)
-        with pytest.raises(ValueError):
-            gram_from_bytes(payload[:-4], kernel=RbfKernel(1.0))
+    Its eigenvalues are 1 (n - 1 times) and -dip, and its diagonal peaks at
+    exactly 1, so the PSD floor is -1e-8 * n.
+    """
+    u = np.random.default_rng(n).standard_normal(n)
+    u[0] = 0.0
+    u /= np.linalg.norm(u)
+    return np.eye(n) - (1.0 + dip) * np.outer(u, u)
+
+
+class TestCholeskyPsdCheck:
+    @pytest.mark.parametrize("n", [40, 1100])
+    def test_floor_is_exact_on_both_sides_of_1024(self, n):
+        floor = 1e-8 * n
+        with pytest.raises(GramIntegrityError, match="below PSD floor"):
+            SteinGram(matrix=rank_one_dip(n, 1.001 * floor), kernel=RbfKernel(1.0))
+        gram = SteinGram(matrix=rank_one_dip(n, 0.999 * floor), kernel=RbfKernel(1.0))
+        assert gram.ridge == floor
+        assert gram.factor is not None
+
+    @pytest.mark.parametrize("n", [1, 4, 1100])
+    def test_zero_matrix_accepted(self, n):
+        gram = SteinGram(matrix=np.zeros((n, n)), kernel=RbfKernel(1.0))
+        assert gram.ridge == 0.0
+        assert gram.factor is None
+
+    def test_factor_is_cholesky_of_ridged_gram(self):
+        rng = np.random.default_rng(8)
+        pts = rng.standard_normal((60, 2))
+        gram = stein_gram(standard_normal_target(2), RbfKernel(1.5), pts)
+        lower = gram.factor
+        np.testing.assert_array_equal(lower, np.tril(lower))
+        np.testing.assert_allclose(
+            lower @ lower.T, gram.matrix + gram.ridge * np.eye(60), rtol=0, atol=1e-12
+        )
+
+    def test_near_symmetric_input_stored_exactly_symmetric(self):
+        mat = np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
+        gram = SteinGram(matrix=mat, kernel=RbfKernel(1.0))
+        np.testing.assert_array_equal(gram.matrix, gram.matrix.T)
+        assert gram.matrix[0, 1] == 0.5 * (1.0 + (1.0 + 1e-14))
+
+    def test_one_factorization_per_stein_gram(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        calls = []
+        potrf = lapack.dpotrf
+
+        def counting_potrf(*args, **kwargs):
+            calls.append(args[0].shape)
+            return potrf(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a valid Gram needs no eigensolve")
+
+        monkeypatch.setattr(lapack, "dpotrf", counting_potrf)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        rng = np.random.default_rng(9)
+        for n in (5, 80):
+            stein_gram(standard_normal_target(2), RbfKernel(1.0), rng.standard_normal((n, 2)))
+        assert calls == [(5, 5), (80, 80)]

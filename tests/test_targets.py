@@ -307,3 +307,39 @@ class TestStandardNormalTarget:
         np.testing.assert_allclose(target.score(pts), [[-1.0, 2.0]], atol=1e-15)
         expect = -0.5 * 5.0 - math.log(2.0 * math.pi)
         assert target.log_density(pts)[0] == pytest.approx(expect, abs=1e-12)
+
+
+class TestMixtureLogSumExp:
+    def test_equals_scipy_with_ties_and_infinities(self):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+            a = rng.standard_normal((rows, cols)) * rng.choice([1e-3, 1.0, 30.0, 800.0])
+            if rng.random() < 0.5:
+                a = np.round(a, 1)  # ties at the row maximum
+            if rng.random() < 0.3:
+                a[rng.random((rows, cols)) < 0.3] = -np.inf
+            np.testing.assert_array_equal(
+                targets._logsumexp_rows(a), logsumexp(a, axis=1, keepdims=True)
+            )
+
+    def test_all_minus_inf_rows_equal_scipy(self):
+        from scipy.special import logsumexp
+
+        a = np.array([[-np.inf, -np.inf, -np.inf], [0.5, -np.inf, 0.5], [-np.inf] * 3])
+        out = targets._logsumexp_rows(a)
+        np.testing.assert_array_equal(out, logsumexp(a, axis=1, keepdims=True))
+        assert out[0, 0] == -np.inf and out[2, 0] == -np.inf
+
+    def test_mixture_calls_equal_scipy_path(self):
+        from scipy.special import logsumexp
+
+        mix = random_gaussian_mixture(7, 3, seed=4)
+        pts = np.random.default_rng(5).standard_normal((40, 3)) * 3.0
+        comp = mix._component_log_densities(pts) + np.log(mix.weights)[None, :]
+        np.testing.assert_array_equal(mix.log_density(pts), logsumexp(comp, axis=1))
+        resp = np.exp(comp - logsumexp(comp, axis=1, keepdims=True))
+        pull = (mix.means[None, :, :] - pts[:, None, :]) / mix.variances[None, :, None]
+        np.testing.assert_array_equal(mix.score(pts), np.einsum("nj,njd->nd", resp, pull))
