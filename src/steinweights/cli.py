@@ -67,6 +67,15 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _gram_from_args(args, target, points):
+    """Stein Gram at ``--bandwidth``, or at the median heuristic when it is
+    not given; a given 0 reaches the kernel's positivity check."""
+    bandwidth = args.bandwidth
+    if bandwidth is None:
+        bandwidth = median_heuristic_bandwidth(points)
+    return stein_gram(target, RbfKernel(bandwidth), points)
+
+
 def _cmd_weights(args) -> int:
     points = read_points(args.points)
     model = build_target_model(_load_json(args.target))
@@ -75,16 +84,14 @@ def _cmd_weights(args) -> int:
     if scheme == "uniform":
         weights = baselines.weights_uniform(points.shape[0])
     elif scheme == "stein":
-        bandwidth = args.bandwidth or median_heuristic_bandwidth(points)
-        gram = stein_gram(target, RbfKernel(bandwidth), points)
+        gram = _gram_from_args(args, target, points)
         problem = simplex_qp.QpProblem(gram=gram, lower_bound=args.lower_bound)
         solution = simplex_qp.solve(
             problem, method=args.solver, max_iters=args.max_iters, tol=args.tol
         )
         weights = solution.weights
     elif scheme in ("control_functional", "control_functional_normalized"):
-        bandwidth = args.bandwidth or median_heuristic_bandwidth(points)
-        gram = stein_gram(target, RbfKernel(bandwidth), points)
+        gram = _gram_from_args(args, target, points)
         weights = baselines.weights_control_functional(
             gram, lam=args.lam, normalize=scheme.endswith("normalized")
         )
@@ -113,8 +120,7 @@ def _cmd_ksd(args) -> int:
     weights = _read_weights(args.weights)
     model = build_target_model(_load_json(args.target))
     target = model.as_target()
-    bandwidth = args.bandwidth or median_heuristic_bandwidth(points)
-    gram = stein_gram(target, RbfKernel(bandwidth), points)
+    gram = _gram_from_args(args, target, points)
     print(repr(ksd_weighted(gram, weights)))
     return 0
 

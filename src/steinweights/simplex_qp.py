@@ -18,7 +18,9 @@ per iterate and uses it twice: the objective is w' (K w) and the next
 gradient is 2 K w. Mirror descent therefore costs one product per
 candidate step it scores, and Frank-Wolfe two per iteration (the line
 search curvature and K w at the new iterate), plus one product at the
-uniform start.
+uniform start. Every matrix a :class:`QpProblem` holds is exactly
+symmetric, so each product is a BLAS ``dsymv`` that reads one triangle of
+K, half the bytes of a general matrix-vector product.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import blas
 
 from .errors import SolverError, UnsupportedConfigurationError
 from .stein import SteinGram
@@ -48,10 +51,13 @@ class QpProblem:
     """Quadratic program min w' K w subject to sum(w) = 1, w_i >= lower_bound.
 
     ``gram`` may be a :class:`SteinGram` or a plain square array; a plain
-    array is symmetrized since only its symmetric part enters the quadratic
-    form. A SteinGram's matrix is used as is: it is already finite and
-    exactly symmetric. ``lower_bound`` must satisfy n * lower_bound <= 1 so
-    the region is non-empty; zero gives the probability simplex.
+    array is stored as its symmetric part 0.5 (K + K'), which is all that
+    enters the quadratic form and is exactly symmetric. A SteinGram's
+    matrix is used as is: it is already finite and exactly symmetric. The
+    stored matrix is C- or F-contiguous, so the solvers' symmetric products
+    take it without a copy; a SteinGram matrix in any other layout is made
+    contiguous once, here. ``lower_bound`` must satisfy n * lower_bound <= 1
+    so the region is non-empty; zero gives the probability simplex.
     """
 
     gram: np.ndarray
@@ -66,6 +72,8 @@ class QpProblem:
             if not np.all(np.isfinite(mat)):
                 raise ValueError("gram must be finite")
             mat = 0.5 * (mat + mat.T)
+        if not (mat.flags.c_contiguous or mat.flags.f_contiguous):
+            mat = np.ascontiguousarray(mat)
         object.__setattr__(self, "gram", mat)
         lb = float(self.lower_bound)
         if not np.isfinite(lb):
@@ -97,6 +105,16 @@ class QpSolution:
     converged: bool
     gap: float
     objective_trace: np.ndarray = field(repr=False)
+
+
+def _gram_product(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K x for an exactly symmetric, contiguous K, reading one triangle of K.
+
+    ``dsymv`` takes a Fortran-ordered matrix; f2py would copy a C-ordered
+    one on every call. The transpose of a C-ordered K is a Fortran-ordered
+    view that equals K, so that is what gets passed.
+    """
+    return blas.dsymv(1.0, mat.T if mat.flags.c_contiguous else mat, x)
 
 
 def _lmo_vertex(gradient: np.ndarray, lower_bound: float) -> tuple[int, np.ndarray]:
@@ -150,7 +168,7 @@ def solve_mirror_descent(
     Each scored candidate costs one product K c, which gives both its
     objective c' (K c) and, if the step is accepted, the next gradient
     2 K c. An iteration that rejects the doubled step and accepts the next
-    one thus costs two products.
+    one thus costs two products. Each product reads one triangle of K.
 
     Only ``lower_bound == 0`` is supported; the multiplicative update cannot
     leave the open simplex.
@@ -167,7 +185,7 @@ def solve_mirror_descent(
     if max_iters is None:
         max_iters = max(2000, 50 * n)
     w = np.full(n, 1.0 / n)
-    kw = mat @ w
+    kw = _gram_product(mat, w)
     obj = float(w @ kw)
     trace = [obj]
     eta = 1.0 / (2.0 * float(np.max(np.abs(mat))))
@@ -187,7 +205,7 @@ def solve_mirror_descent(
                 eta *= 0.5
                 continue
             candidate /= total
-            kc = mat @ candidate
+            kc = _gram_product(mat, candidate)
             cand_obj = float(candidate @ kc)
             predicted = float(grad @ (w - candidate))
             if cand_obj <= obj - _ARMIJO_FRACTION * predicted:
@@ -229,9 +247,10 @@ def solve_frank_wolfe(
     the Frank-Wolfe gap <w - v, grad f> drops to ``tol``, which defaults to
     1e-10 * n * max(diag K); the gap bounds the remaining suboptimality.
 
-    Each iteration costs two products with K: one for the line-search
-    curvature d' K d and one for K w at the new iterate, which gives both
-    the recorded objective w' (K w) and the next gradient 2 K w.
+    Each iteration costs two products with K, each reading one triangle:
+    one for the line-search curvature d' (K d) and one for K w at the new
+    iterate, which gives both the recorded objective w' (K w) and the next
+    gradient 2 K w.
     """
     trivial = _trivial_solution(problem)
     if trivial is not None:
@@ -242,14 +261,14 @@ def solve_frank_wolfe(
     span = 1.0 - n * lb
     if span <= 0.0:
         w = np.full(n, lb)
-        obj = float(w @ mat @ w)
+        obj = float(w @ _gram_product(mat, w))
         return QpSolution(w, obj, 0, True, 0.0, np.array([obj]))
     if max_iters is None:
         max_iters = max(2000, 50 * n)
     if tol is None:
         tol = 1e-10 * n * max(float(np.max(np.diag(mat))), 0.0)
     w = np.full(n, 1.0 / n)
-    kw = mat @ w
+    kw = _gram_product(mat, w)
     obj = float(w @ kw)
     trace = [obj]
     converged = False
@@ -288,7 +307,7 @@ def solve_frank_wolfe(
                 step_cap = u_a / (1.0 - u_a)
                 drop_idx = a_idx
                 directional = away_gap
-        curvature = float(direction @ mat @ direction)
+        curvature = float(direction @ _gram_product(mat, direction))
         if curvature <= 0.0:
             step = step_cap
         else:
@@ -301,7 +320,7 @@ def solve_frank_wolfe(
             w[drop_idx] = lb
         elif drop_idx is None and step == 1.0:
             w = vertex.copy()
-        kw = mat @ w
+        kw = _gram_product(mat, w)
         obj = float(w @ kw)
         iterations += 1
         trace.append(obj)

@@ -42,6 +42,9 @@ __all__ = [
 _SYMMETRY_RTOL = 1e-12
 _PSD_RTOL = 1e-8
 _KSD_CLAMP_RTOL = 1e-10
+# Rows per block of the in-place symmetric add in stein_gram; its scratch
+# space is one block of rows, not a second (n, n) buffer.
+_ADD_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -276,7 +279,14 @@ def stein_gram(target: ScoreTarget, kernel: RbfKernel, points: np.ndarray) -> St
     # Cross terms (2/h) * (s_i'x_i + s_j'x_j - s_i'x_j - s_j'x_i).
     row_dot = np.sum(scores * pts, axis=1)
     s_x = scores @ pts.T
-    np.add(s_x, s_x.T, out=s_x)
+    # s_ij + s_ji into the upper triangle, in row blocks: np.add(s_x, s_x.T,
+    # out=s_x) would first copy the whole input because the output overlaps
+    # its transposed view. The lower triangle keeps s_ij and is overwritten
+    # by the final mirror, and addition commutes, so the kept entries are
+    # the same bits.
+    for i0 in range(0, n, _ADD_BLOCK_ROWS):
+        i1 = min(i0 + _ADD_BLOCK_ROWS, n)
+        s_x[i0:i1, i0:] += s_x[i0:, i0:i1].T
     s_x *= -2.0 / h
     s_x += (2.0 / h) * row_dot[:, None]
     s_x += (2.0 / h) * row_dot[None, :]

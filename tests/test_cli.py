@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from steinweights.cli import main
 from steinweights.harness import RECORD_COLUMNS, write_points
@@ -187,6 +188,37 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "dimension" in err
+
+    @pytest.mark.parametrize("scheme", ["stein", "control_functional"])
+    def test_weights_zero_bandwidth_exits_two(self, tmp_path, capsys, scheme):
+        # 0 is a given bandwidth, not a request for the median heuristic.
+        points_path, _ = _points_file(tmp_path, n=6)
+        target_path = _write_json(
+            tmp_path / "target.json", {"kind": "standard_normal", "dimension": 2}
+        )
+        code = main([
+            "weights", "--points", points_path, "--target", target_path,
+            "--scheme", scheme, "--bandwidth", "0",
+        ])
+        assert code == 2
+        assert "error: bandwidth must be positive" in capsys.readouterr().err
+
+    def test_ksd_zero_bandwidth_exits_two(self, tmp_path, capsys):
+        points_path, _ = _points_file(tmp_path, n=6)
+        target_path = _write_json(
+            tmp_path / "target.json", {"kind": "standard_normal", "dimension": 2}
+        )
+        weights_path = tmp_path / "w.csv"
+        assert main([
+            "weights", "--points", points_path, "--target", target_path,
+            "--scheme", "uniform", "--output", str(weights_path),
+        ]) == 0
+        code = main([
+            "ksd", "--points", points_path, "--weights", str(weights_path),
+            "--target", target_path, "--bandwidth", "0",
+        ])
+        assert code == 2
+        assert "error: bandwidth must be positive" in capsys.readouterr().err
 
 
 class TestReadmeTargetKinds:

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import blas
 
+from steinweights import simplex_qp
 from steinweights.errors import UnsupportedConfigurationError
 from steinweights.kernels import RbfKernel, median_heuristic_bandwidth
 from steinweights.samplers import sample_gmm_iid
@@ -10,13 +12,14 @@ from steinweights.simplex_qp import (
     _ARMIJO_FRACTION,
     _MAX_BACKTRACKS,
     QpProblem,
+    _gram_product,
     _lmo_vertex,
     solve,
     solve_frank_wolfe,
     solve_mirror_descent,
 )
-from steinweights.stein import stein_gram
-from steinweights.targets import random_gaussian_mixture
+from steinweights.stein import SteinGram, stein_gram
+from steinweights.targets import random_gaussian_mixture, standard_normal_target
 from support import enumerate_qp_optimum, grid_qp_optimum, random_psd
 
 
@@ -164,18 +167,24 @@ class TestEnumerationOracle:
             assert fw.weights.min() >= lb - 1e-12
 
 
-def _reference_mirror_descent(problem, max_iters, tol=1e-10):
+def _matmul_product(mat, x):
+    return mat @ x
+
+
+def _reference_mirror_descent(problem, max_iters, tol=1e-10, product=None):
     """The mirror-descent loop as it was before products with K were shared:
-    it scores a candidate with (c K) c and recomputes K w after acceptance.
+    it scores a candidate with c' (K c) and recomputes K w after acceptance.
+    Products go through ``product``, the solvers' helper unless given.
     Returns (weights, objective, iterations, converged, gap)."""
+    product = product or simplex_qp._gram_product
     mat = problem.gram
     n = problem.n
     w = np.full(n, 1.0 / n)
-    obj = float(w @ mat @ w)
+    obj = float(w @ product(mat, w))
     eta = 1.0 / (2.0 * float(np.max(np.abs(mat))))
     converged = False
     iterations = 0
-    grad = 2.0 * (mat @ w)
+    grad = 2.0 * product(mat, w)
     for _ in range(max_iters):
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
@@ -187,7 +196,7 @@ def _reference_mirror_descent(problem, max_iters, tol=1e-10):
                 eta *= 0.5
                 continue
             candidate /= total
-            cand_obj = float(candidate @ mat @ candidate)
+            cand_obj = float(candidate @ product(mat, candidate))
             predicted = float(grad @ (w - candidate))
             if cand_obj <= obj - _ARMIJO_FRACTION * predicted:
                 accepted = True
@@ -200,7 +209,7 @@ def _reference_mirror_descent(problem, max_iters, tol=1e-10):
         decrease = obj - cand_obj
         w = candidate
         obj = cand_obj
-        grad = 2.0 * (mat @ w)
+        grad = 2.0 * product(mat, w)
         eta *= 2.0
         if decrease <= tol * max(abs(obj), 1e-300):
             converged = True
@@ -210,21 +219,23 @@ def _reference_mirror_descent(problem, max_iters, tol=1e-10):
     return w, obj, iterations, converged, float(grad @ (w - vertex))
 
 
-def _reference_frank_wolfe(problem, max_iters, tol):
+def _reference_frank_wolfe(problem, max_iters, tol, product=None):
     """The Frank-Wolfe loop as it was before products with K were shared:
-    it recomputes K w for the gradient and (w K) w for the objective.
+    it recomputes K w for the gradient and w' (K w) for the objective.
+    Products go through ``product``, the solvers' helper unless given.
     Returns (weights, objective, iterations, converged, gap)."""
+    product = product or simplex_qp._gram_product
     mat = problem.gram
     n = problem.n
     lb = problem.lower_bound
     span = 1.0 - n * lb
     w = np.full(n, 1.0 / n)
-    obj = float(w @ mat @ w)
+    obj = float(w @ product(mat, w))
     converged = False
     iterations = 0
     gap = np.inf
     for _ in range(max_iters):
-        grad = 2.0 * (mat @ w)
+        grad = 2.0 * product(mat, w)
         _, vertex = _lmo_vertex(grad, lb)
         gap = float(grad @ (w - vertex))
         if gap <= tol:
@@ -248,7 +259,7 @@ def _reference_frank_wolfe(problem, max_iters, tol):
                 step_cap = u_a / (1.0 - u_a)
                 drop_idx = a_idx
                 directional = away_gap
-        curvature = float(direction @ mat @ direction)
+        curvature = float(direction @ product(mat, direction))
         if curvature <= 0.0:
             step = step_cap
         else:
@@ -261,13 +272,18 @@ def _reference_frank_wolfe(problem, max_iters, tol):
             w[drop_idx] = lb
         elif drop_idx is None and step == 1.0:
             w = vertex.copy()
-        obj = float(w @ mat @ w)
+        obj = float(w @ product(mat, w))
         iterations += 1
     w = w / float(w.sum())
     return w, obj, iterations, converged, float(gap)
 
 
+def _fw_default_tol(problem):
+    return 1e-10 * problem.n * max(float(np.max(np.diag(problem.gram))), 0.0)
+
+
 def _stein_gram_matrix(n=100, seed=0):
+    """Stein Gram on iid draws from the criterion-05 target."""
     target = random_gaussian_mixture(
         n_components=20, dimension=2, seed=3, mean_range=(-3.0, 3.0)
     )
@@ -283,24 +299,18 @@ def _reference_cases():
         yield random_psd(rng, int(rng.integers(3, 30))), 500
 
 
-class _CountingGram(np.ndarray):
-    """Gram view that counts its products with a vector from either side."""
+@pytest.fixture
+def product_calls(monkeypatch):
+    """Counts calls to the solvers' product helper, references included."""
+    calls = []
+    product = simplex_qp._gram_product
 
-    def __matmul__(self, other):
-        self.products += 1
-        return np.asarray(self) @ other
+    def counting(mat, x):
+        calls.append(x.shape)
+        return product(mat, x)
 
-    def __rmatmul__(self, other):
-        self.products += 1
-        return other @ np.asarray(self)
-
-
-def _counting_problem(mat, lower_bound=0.0):
-    problem = QpProblem(gram=mat, lower_bound=lower_bound)
-    counting = problem.gram.view(_CountingGram)
-    counting.products = 0
-    object.__setattr__(problem, "gram", counting)
-    return problem, counting
+    monkeypatch.setattr(simplex_qp, "_gram_product", counting)
+    return calls
 
 
 def _assert_matches_reference(sol, reference):
@@ -328,29 +338,104 @@ class TestSharedGramProduct:
             n = mat.shape[0]
             for lb in (0.0, -0.5 / n):
                 problem = QpProblem(gram=mat, lower_bound=lb)
-                tol = 1e-10 * n * max(float(np.max(np.diag(problem.gram))), 0.0)
                 sol = solve_frank_wolfe(problem, max_iters=iters)
                 _assert_matches_reference(
-                    sol, _reference_frank_wolfe(problem, iters, tol)
+                    sol, _reference_frank_wolfe(problem, iters, _fw_default_tol(problem))
                 )
 
-    def test_mirror_descent_one_product_per_scored_candidate(self):
+    def test_mirror_descent_one_product_per_scored_candidate(self, product_calls):
         # With c scored candidates and i accepted steps, the reference
         # loop forms 2 + c + i products: the start's objective and
         # gradient, one per candidate and one fresh gradient per accepted
         # step. Sharing K c leaves 1 + c.
-        problem, counting = _counting_problem(_stein_gram_matrix())
+        problem = QpProblem(gram=_stein_gram_matrix())
         sol = solve_mirror_descent(problem, max_iters=300)
-        shared = counting.products
-        counting.products = 0
+        shared = len(product_calls)
+        product_calls.clear()
         _reference_mirror_descent(problem, 300)
         assert sol.iterations == 300
-        assert shared == counting.products - sol.iterations - 1
+        assert shared == len(product_calls) - sol.iterations - 1
 
-    def test_frank_wolfe_two_products_per_iteration(self):
+    def test_frank_wolfe_two_products_per_iteration(self, product_calls):
         mat = _stein_gram_matrix()
         for lb in (0.0, -0.005):
-            problem, counting = _counting_problem(mat, lower_bound=lb)
-            sol = solve_frank_wolfe(problem, max_iters=300)
+            product_calls.clear()
+            sol = solve_frank_wolfe(QpProblem(gram=mat, lower_bound=lb), max_iters=300)
             assert sol.iterations == 300
-            assert counting.products == 1 + 2 * sol.iterations
+            assert len(product_calls) == 1 + 2 * sol.iterations
+
+
+class TestSymmetricProduct:
+    """Every product reads one triangle through BLAS dsymv, takes the
+    stored matrix without a copy, and moves solver output only by
+    rounding."""
+
+    def test_matches_matmul(self):
+        rng = np.random.default_rng(40)
+        mats = [_stein_gram_matrix(n=150, seed=4)]
+        mats += [random_psd(rng, int(n)) for n in (1, 2, 7, 64, 129)]
+        for mat in mats:
+            stored = QpProblem(gram=mat).gram
+            for _ in range(3):
+                x = rng.standard_normal(stored.shape[0])
+                bound = 1e-12 * np.max(np.abs(stored)) * np.sum(np.abs(x))
+                err = np.max(np.abs(_gram_product(stored, x) - stored @ x))
+                assert err <= bound
+
+    def test_dsymv_takes_stored_matrix_without_copy(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        pts = rng.standard_normal((30, 2))
+        stein = stein_gram(standard_normal_target(2), RbfKernel(1.0), pts)
+        plain = random_psd(rng, 25)
+        big = random_psd(rng, 60)
+        big = big + big.T  # exactly symmetric, so SteinGram keeps the view
+        strided = big[::2, ::2]
+        cases = {
+            "stein_gram": stein,
+            "c_order": plain,
+            "f_order": np.asfortranarray(plain),
+            "strided_view": strided,
+            "strided_stein_gram": SteinGram(matrix=strided, kernel=RbfKernel(1.0)),
+        }
+        seen = []
+        dsymv = blas.dsymv
+
+        def checking_dsymv(alpha, a, x, *args, **kwargs):
+            seen.append(a)
+            return dsymv(alpha, a, x, *args, **kwargs)
+
+        monkeypatch.setattr(blas, "dsymv", checking_dsymv)
+        for name, gram in cases.items():
+            problem = QpProblem(gram=gram)
+            seen.clear()
+            solve_mirror_descent(problem, max_iters=5)
+            solve_frank_wolfe(problem, max_iters=5)
+            assert seen, name
+            for a in seen:
+                assert a.flags.f_contiguous, name
+                assert np.shares_memory(a, problem.gram), name
+        # A SteinGram keeps an exactly symmetric strided view as is; the
+        # problem copies it once, at construction.
+        assert np.shares_memory(cases["strided_stein_gram"].matrix, big)
+        assert not np.shares_memory(QpProblem(gram=cases["strided_stein_gram"]).gram, big)
+        assert QpProblem(gram=stein).gram is stein.matrix
+
+    def test_drift_against_matmul_loops(self):
+        # The pre-dsymv solvers, products through @, on the criterion-05
+        # target at n = 200: same iterations and convergence flags, weights
+        # within rounding.
+        problem = QpProblem(gram=_stein_gram_matrix(n=200, seed=5))
+        iters = 2000
+        cases = [
+            (solve_mirror_descent(problem, max_iters=iters),
+             _reference_mirror_descent(problem, iters, product=_matmul_product)),
+            (solve_frank_wolfe(problem, max_iters=iters),
+             _reference_frank_wolfe(
+                 problem, iters, _fw_default_tol(problem), product=_matmul_product
+             )),
+        ]
+        for sol, (weights, _, iterations, converged, _) in cases:
+            assert sol.iterations == iterations
+            assert sol.converged == converged
+            scale = float(np.max(np.abs(weights)))
+            assert np.max(np.abs(sol.weights - weights)) <= 1e-10 * scale

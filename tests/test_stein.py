@@ -1,12 +1,13 @@
 """Score-weighted kernel, Gram assembly, weighted discrepancy, identity check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from steinweights.errors import GramIntegrityError, ScoreEvaluationError
-from steinweights.kernels import RbfKernel, kernel_cross_trace
+from steinweights.kernels import RbfKernel, kernel_cross_trace, pairwise_sq_dists
 from steinweights.stein import (
     ScoreTarget,
     SteinGram,
@@ -16,7 +17,11 @@ from steinweights.stein import (
     stein_kernel_eval,
     stein_kernel_vector,
 )
-from steinweights.targets import GaussianMixture, standard_normal_target
+from steinweights.targets import (
+    GaussianMixture,
+    random_gaussian_mixture,
+    standard_normal_target,
+)
 
 
 def gaussian_target():
@@ -110,6 +115,63 @@ class TestSteinGram:
         with pytest.raises(ScoreEvaluationError) as info:
             stein_gram(target, RbfKernel(1.0), pts)
         np.testing.assert_array_equal(info.value.point, [2.0])
+
+
+def unblocked_stein_matrix(target, kernel, pts):
+    """The Gram assembly with the cross terms' symmetric add done in one
+    whole-matrix np.add, mirrored from its upper triangle."""
+    scores = target.score_at(pts)
+    h = kernel.bandwidth
+    n, d = pts.shape
+    sq = pairwise_sq_dists(pts)
+    k = np.exp(np.multiply(sq, -1.0 / h))
+    bracket = sq
+    bracket *= -4.0 / (h * h)
+    bracket += 2.0 * d / h
+    bracket += scores @ scores.T
+    row_dot = np.sum(scores * pts, axis=1)
+    s_x = scores @ pts.T
+    np.add(s_x, s_x.T, out=s_x)
+    s_x *= -2.0 / h
+    s_x += (2.0 / h) * row_dot[:, None]
+    s_x += (2.0 / h) * row_dot[None, :]
+    bracket += s_x
+    bracket *= k
+    for i in range(n - 1):
+        bracket[i + 1 :, i] = bracket[i, i + 1 :]
+    return bracket
+
+
+def mixture_points(n, seed):
+    mixture = random_gaussian_mixture(
+        n_components=20, dimension=2, seed=3, mean_range=(-3.0, 3.0)
+    )
+    pts = np.random.default_rng(seed).standard_normal((n, 2)) * 2.0
+    return mixture.as_target(), pts
+
+
+class TestBlockedSymmetricAdd:
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
+    def test_bit_identical_to_whole_matrix_add(self, n):
+        target, pts = mixture_points(n, seed=n)
+        kernel = RbfKernel(1.3)
+        gram = stein_gram(target, kernel, pts)
+        np.testing.assert_array_equal(
+            gram.matrix, unblocked_stein_matrix(target, kernel, pts)
+        )
+
+    def test_peak_memory_at_most_three_point_three_buffers(self):
+        # Distances, kernel values, cross terms, and one row block of
+        # scratch; the whole-matrix add held a fourth (n, n) buffer.
+        n = 800
+        target, pts = mixture_points(n, seed=11)
+        tracemalloc.start()
+        try:
+            stein_gram(target, RbfKernel(2.0), pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.3 * 8 * n * n
 
 
 class TestSteinKernelVector:
