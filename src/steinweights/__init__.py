@@ -69,6 +69,7 @@ from .stein import (
     ksd_weighted,
     stein_gram,
     stein_identity_check,
+    stein_kernel_block,
     stein_kernel_eval,
 )
 from .targets import (

@@ -19,7 +19,7 @@ from .errors import (
     SolverError,
     UnsupportedConfigurationError,
 )
-from .kernels import pairwise_sq_dists
+from .kernels import _sq_dist_tile, _upper_tiles
 from .stein import ScoreTarget, SteinGram, _psd_ridge, _ridge_cholesky
 
 __all__ = [
@@ -181,9 +181,22 @@ def _loo_log_density(points: np.ndarray, bandwidth: float) -> np.ndarray:
     pts = points
     n, d = pts.shape
     h2 = bandwidth * bandwidth
-    kernel_vals = np.exp(-pairwise_sq_dists(pts) / (2.0 * h2))
-    np.fill_diagonal(kernel_vals, 0.0)
-    sums = kernel_vals.sum(axis=1)
+    # Row sums over the upper-triangle tiles: each off-diagonal tile gives
+    # its rows' sums and, through its mirror, its columns' sums.
+    sums = np.zeros(n)
+    for rows, cols in _upper_tiles(n):
+        x = pts[rows]
+        y = x if rows == cols else pts[cols]
+        # exp(-sq / (2 h^2)), in place in the distance tile.
+        kernel_vals = _sq_dist_tile(x, y)
+        np.negative(kernel_vals, out=kernel_vals)
+        kernel_vals /= 2.0 * h2
+        np.exp(kernel_vals, out=kernel_vals)
+        if y is x:
+            np.fill_diagonal(kernel_vals, 0.0)
+        else:
+            sums[cols] += kernel_vals.sum(axis=0)
+        sums[rows] += kernel_vals.sum(axis=1)
     if np.any(sums <= 0.0):
         raise DegenerateWeightsError(
             "leave-one-out density vanishes at an isolated point"

@@ -75,15 +75,18 @@ __all__ = [
 
 PARALLEL_ENV_VAR = "STEINWEIGHTS_PARALLEL"
 
-SCHEME_KINDS = (
-    "uniform",
-    "stein",
-    "exact_is",
-    "control_functional",
-    "control_functional_normalized",
-    "kde",
-    "kde_normalized",
-)
+# Option names each scheme kind accepts; "kind" and "label" are allowed for
+# every kind.
+SCHEME_OPTIONS = {
+    "uniform": (),
+    "stein": ("lower_bound", "solver", "max_iters", "tol"),
+    "exact_is": (),
+    "control_functional": ("lam",),
+    "control_functional_normalized": ("lam",),
+    "kde": ("bandwidth",),
+    "kde_normalized": ("bandwidth",),
+}
+SCHEME_KINDS = tuple(SCHEME_OPTIONS)
 
 TEST_FUNCTIONS = ("coordinate_mean", "coordinate_square", "random_cosine")
 
@@ -124,8 +127,15 @@ class ExperimentConfig:
             raise ValueError("at least one weighting scheme is required")
         labels = [s.get("label", s.get("kind")) for s in schemes]
         for s in schemes:
-            if s.get("kind") not in SCHEME_KINDS:
-                raise ValueError(f"unknown scheme kind {s.get('kind')!r}")
+            kind = s.get("kind")
+            if kind not in SCHEME_OPTIONS:
+                raise ValueError(f"unknown scheme kind {kind!r}")
+            unknown = set(s) - {"kind", "label", *SCHEME_OPTIONS[kind]}
+            if unknown:
+                raise ValueError(
+                    f"unknown option(s) {sorted(unknown)} for scheme kind {kind!r}; "
+                    f"allowed: {sorted(SCHEME_OPTIONS[kind]) + ['label']}"
+                )
         if len(set(labels)) != len(labels):
             raise ValueError("scheme labels must be unique; add 'label' to duplicates")
         object.__setattr__(self, "schemes", schemes)

@@ -105,22 +105,47 @@ def kernel_cross_trace(kernel: RbfKernel, x: np.ndarray, y: np.ndarray) -> float
     return float((2.0 * d / h - 4.0 * sq / (h * h)) * k)
 
 
+# Rows per square tile of a pairwise (n, n) kernel assembled tile by tile:
+# a (256, 256) float tile is 512 KiB, so the few buffers a tile needs stay
+# in a core's L2 cache.
+_TILE_ROWS = 256
+
+
+def _upper_tiles(n: int):
+    """Yield (rows, cols) slice pairs of square tiles that cover the upper
+    triangle of an (n, n) matrix, each tile row starting at its diagonal
+    tile, where ``rows == cols``."""
+    for i0 in range(0, n, _TILE_ROWS):
+        rows = slice(i0, min(i0 + _TILE_ROWS, n))
+        for j0 in range(i0, n, _TILE_ROWS):
+            yield rows, slice(j0, min(j0 + _TILE_ROWS, n))
+
+
+def _sq_dist_tile(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of x and of y, clamped at zero.
+
+    A tile of a point set against itself, passed as the same array object
+    (``y is x``), gets exact zero self-distances on its diagonal.
+    """
+    sq = x @ y.T
+    sq *= -2.0
+    sq += np.sum(x * x, axis=1)[:, None]
+    sq += np.sum(y * y, axis=1)[None, :]
+    np.maximum(sq, 0.0, out=sq)
+    if y is x:
+        np.fill_diagonal(sq, 0.0)
+    return sq
+
+
 def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     """Full (n, n) matrix of squared Euclidean distances, clamped at zero.
 
-    Assembled in place on a single (n, n) buffer; at n = 10^4 that buffer is
-    800 MB, so avoiding broadcast temporaries is what keeps large point sets
-    inside a few GB of memory.
+    Built in place in the (n, n) output, with no (n, n) temporary. The
+    package's pairwise kernels do not build this matrix: they work through
+    the same squared distances one upper-triangle tile at a time.
     """
     points = np.asarray(points, dtype=float)
-    sq_norms = np.sum(points * points, axis=1)
-    sq = points @ points.T
-    sq *= -2.0
-    sq += sq_norms[:, None]
-    sq += sq_norms[None, :]
-    np.maximum(sq, 0.0, out=sq)
-    np.fill_diagonal(sq, 0.0)
-    return sq
+    return _sq_dist_tile(points, points)
 
 
 def median_heuristic_bandwidth(points: np.ndarray) -> float:
@@ -144,8 +169,9 @@ def median_heuristic_bandwidth(points: np.ndarray) -> float:
         raise ValueError("median heuristic needs at least two points")
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
+    # The pair array is fresh, so the median may partition it in place.
     sq = pdist(points, metric="sqeuclidean")
-    med = float(np.median(sq))
+    med = float(np.median(sq, overwrite_input=True))
     if med <= 0.0:
         raise DegenerateBandwidthError(
             "median pairwise squared distance is zero; points are (mostly) duplicated"

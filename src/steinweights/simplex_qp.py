@@ -135,6 +135,11 @@ def _fw_gap(weights: np.ndarray, gradient: np.ndarray, lower_bound: float) -> fl
     return float(gradient @ (weights - vertex))
 
 
+def _abs_max(mat: np.ndarray) -> float:
+    """max |K| without an (n, n) temporary; the same value as np.abs(K).max()."""
+    return max(float(mat.max()), -float(mat.min()))
+
+
 def _trivial_solution(problem: QpProblem) -> QpSolution | None:
     mat = problem.gram
     n = problem.n
@@ -142,7 +147,7 @@ def _trivial_solution(problem: QpProblem) -> QpSolution | None:
         w = np.array([1.0])
         obj = float(mat[0, 0])
         return QpSolution(w, obj, 0, True, 0.0, np.array([obj]))
-    if float(np.max(np.abs(mat))) == 0.0:
+    if _abs_max(mat) == 0.0:
         w = np.full(n, 1.0 / n)
         return QpSolution(w, 0.0, 0, True, 0.0, np.array([0.0]))
     return None
@@ -188,7 +193,7 @@ def solve_mirror_descent(
     kw = _gram_product(mat, w)
     obj = float(w @ kw)
     trace = [obj]
-    eta = 1.0 / (2.0 * float(np.max(np.abs(mat))))
+    eta = 1.0 / (2.0 * _abs_max(mat))
     converged = False
     iterations = 0
     grad = 2.0 * kw

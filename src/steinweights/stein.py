@@ -21,12 +21,13 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import GramIntegrityError, ScoreEvaluationError
-from .kernels import RbfKernel, pairwise_sq_dists
+from .kernels import RbfKernel, _sq_dist_tile, _upper_tiles
 
 __all__ = [
     "ExactMoments",
     "ScoreTarget",
     "SteinGram",
+    "stein_kernel_block",
     "stein_kernel_eval",
     "stein_kernel_vector",
     "stein_gram",
@@ -42,9 +43,6 @@ __all__ = [
 _SYMMETRY_RTOL = 1e-12
 _PSD_RTOL = 1e-8
 _KSD_CLAMP_RTOL = 1e-10
-# Rows per block of the in-place symmetric add in stein_gram; its scratch
-# space is one block of rows, not a second (n, n) buffer.
-_ADD_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -206,99 +204,96 @@ class SteinGram:
         return self.matrix.shape[0]
 
 
+def stein_kernel_block(
+    X: np.ndarray,
+    Y: np.ndarray,
+    S_X: np.ndarray,
+    S_Y: np.ndarray,
+    kernel: RbfKernel,
+) -> np.ndarray:
+    """k_p(x_i, y_j) for every row x_i of X and y_j of Y, shape (len X, len Y).
+
+    ``S_X`` and ``S_Y`` are the scores at the rows of X and Y. Passing the
+    same array object as X and Y gives a block of a point set against
+    itself, whose self-distances are exactly zero.
+    """
+    h = kernel.bandwidth
+    d = X.shape[1]
+    sq = _sq_dist_tile(X, Y)
+    k = np.multiply(sq, -1.0 / h)
+    np.exp(k, out=k)
+    # Trace term, overwriting the distance block.
+    bracket = sq
+    bracket *= -4.0 / (h * h)
+    bracket += 2.0 * d / h
+    # Score-score term.
+    bracket += S_X @ S_Y.T
+    # Cross terms (2/h) * (s_i'x_i + s_j'y_j - s_i'y_j - s_j'x_i).
+    cross = S_X @ Y.T
+    cross += (S_Y @ X.T).T
+    cross *= -2.0 / h
+    cross += (2.0 / h) * np.sum(S_X * X, axis=1)[:, None]
+    cross += (2.0 / h) * np.sum(S_Y * Y, axis=1)[None, :]
+    bracket += cross
+    bracket *= k
+    return bracket
+
+
 def stein_kernel_eval(
     target: ScoreTarget, kernel: RbfKernel, x: np.ndarray, y: np.ndarray
 ) -> float:
     """Evaluate the score-weighted kernel k_p(x, y) for one pair of points."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sx = target.score_at(x)
-    sy = target.score_at(y)
-    h = kernel.bandwidth
-    diff = x - y
-    sq = float(np.dot(diff, diff))
-    k = float(np.exp(-sq / h))
-    d = x.shape[0]
-    term_ss = float(np.dot(sx, sy)) * k
-    term_xy = (2.0 / h) * float(np.dot(sx, diff)) * k
-    term_yx = (-2.0 / h) * float(np.dot(sy, diff)) * k
-    term_tr = (2.0 * d / h - 4.0 * sq / (h * h)) * k
-    return term_ss + term_xy + term_yx + term_tr
+    xs = np.asarray(x, dtype=float)[None, :]
+    ys = np.asarray(y, dtype=float)[None, :]
+    block = stein_kernel_block(xs, ys, target.score_at(xs), target.score_at(ys), kernel)
+    return float(block[0, 0])
+
+
+def _as_point_rows(points: np.ndarray) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    return pts[:, None] if pts.ndim == 1 else pts
 
 
 def stein_kernel_vector(
     target: ScoreTarget, kernel: RbfKernel, points: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """Evaluate k_p(x_i, y) for every row x_i of ``points``, shape (n,)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    y = np.asarray(y, dtype=float)
-    scores = target.score_at(pts)
-    sy = target.score_at(y)
-    h = kernel.bandwidth
-    d = pts.shape[1]
-    diff = pts - y[None, :]
-    sq = np.sum(diff * diff, axis=1)
-    k = np.exp(-sq / h)
-    term_ss = (scores @ sy) * k
-    term_xy = (2.0 / h) * np.sum(scores * diff, axis=1) * k
-    term_yx = (-2.0 / h) * (diff @ sy) * k
-    term_tr = (2.0 * d / h - 4.0 * sq / (h * h)) * k
-    return term_ss + term_xy + term_yx + term_tr
+    pts = _as_point_rows(points)
+    ys = np.asarray(y, dtype=float)[None, :]
+    return stein_kernel_block(
+        pts, ys, target.score_at(pts), target.score_at(ys), kernel
+    )[:, 0]
 
 
 def stein_gram(target: ScoreTarget, kernel: RbfKernel, points: np.ndarray) -> SteinGram:
     """Assemble the full score-weighted Gram matrix on a point set.
 
-    The matrix is computed vectorized and then mirrored from its upper
-    triangle so the stored result is exactly symmetric, and
-    :class:`SteinGram` skips its symmetry comparison. Entries agree with
+    Square tiles of the upper triangle are computed by
+    :func:`stein_kernel_block` and written with their transposes into one
+    (n, n) output, so each pair is computed once, the scratch space is a
+    few tiles, and the result is exactly symmetric; :class:`SteinGram`
+    skips its symmetry comparison. Apart from the output, the only (n, n)
+    buffer is the copy its PSD check factors. Entries agree with
     :func:`stein_kernel_eval` applied pairwise.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _as_point_rows(points)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError(f"expected a non-empty (n, d) point array, got {pts.shape}")
     scores = target.score_at(pts)
-    h = kernel.bandwidth
-    n, d = pts.shape
-    # Everything below reuses a small number of (n, n) buffers; each one is
-    # 800 MB at n = 10^4, so building the four kernel terms as separate fresh
-    # matrices would exhaust memory long before compute time became an issue.
-    sq = pairwise_sq_dists(pts)
-    k = np.multiply(sq, -1.0 / h)
-    np.exp(k, out=k)
-    # Trace term, overwriting the distance buffer.
-    bracket = sq
-    bracket *= -4.0 / (h * h)
-    bracket += 2.0 * d / h
-    # Score-score term.
-    bracket += scores @ scores.T
-    # Cross terms (2/h) * (s_i'x_i + s_j'x_j - s_i'x_j - s_j'x_i).
-    row_dot = np.sum(scores * pts, axis=1)
-    s_x = scores @ pts.T
-    # s_ij + s_ji into the upper triangle, in row blocks: np.add(s_x, s_x.T,
-    # out=s_x) would first copy the whole input because the output overlaps
-    # its transposed view. The lower triangle keeps s_ij and is overwritten
-    # by the final mirror, and addition commutes, so the kept entries are
-    # the same bits.
-    for i0 in range(0, n, _ADD_BLOCK_ROWS):
-        i1 = min(i0 + _ADD_BLOCK_ROWS, n)
-        s_x[i0:i1, i0:] += s_x[i0:, i0:i1].T
-    s_x *= -2.0 / h
-    s_x += (2.0 / h) * row_dot[:, None]
-    s_x += (2.0 / h) * row_dot[None, :]
-    bracket += s_x
-    del s_x
-    bracket *= k
-    del k
-    # Mirror the upper triangle row by row for exact symmetry without
-    # allocating triangular copies.
-    for i in range(n - 1):
-        bracket[i + 1 :, i] = bracket[i, i + 1 :]
-    return SteinGram(matrix=bracket, kernel=kernel, _mirrored=True)
+    n = pts.shape[0]
+    out = np.empty((n, n))
+    for rows, cols in _upper_tiles(n):
+        x, s_x = pts[rows], scores[rows]
+        if rows == cols:
+            tile = stein_kernel_block(x, x, s_x, s_x, kernel)
+            # Keep the upper triangle and mirror it into the lower one.
+            lower = np.tri(len(tile), k=-1, dtype=bool)
+            out[rows, rows] = np.where(lower, tile.T, tile)
+        else:
+            tile = stein_kernel_block(x, pts[cols], s_x, scores[cols], kernel)
+            out[rows, cols] = tile
+            out[cols, rows] = tile.T
+    return SteinGram(matrix=out, kernel=kernel, _mirrored=True)
 
 
 def ksd_weighted(gram: SteinGram | np.ndarray, weights: np.ndarray) -> float:
@@ -347,14 +342,11 @@ def stein_identity_check(
         if nodes.size < 2:
             raise ValueError("quadrature grid must contain at least two nodes")
         pts = nodes[:, None]
-        log_p = target.log_density_at(pts)
-        dens = np.exp(log_p - np.max(log_p))
-        mass = float(np.trapezoid(dens, nodes))
-        if mass <= 0.0:
-            raise ValueError("quadrature grid carries no density mass")
-        vals = stein_kernel_vector(target, kernel, pts, np.asarray(y, dtype=float))
-        return float(np.trapezoid(dens * vals, nodes)) / mass
-    if d == 2:
+
+        def integrate(vals: np.ndarray) -> float:
+            return float(np.trapezoid(vals, nodes))
+
+    elif d == 2:
         if not isinstance(grid, (tuple, list)) or len(grid) != 2:
             raise ValueError("dimension-2 check needs a pair of axis node arrays")
         gx = np.asarray(grid[0], dtype=float).reshape(-1)
@@ -363,13 +355,18 @@ def stein_identity_check(
             raise ValueError("quadrature grid must contain at least two nodes per axis")
         mx, my = np.meshgrid(gx, gy, indexing="ij")
         pts = np.column_stack([mx.ravel(), my.ravel()])
-        log_p = target.log_density_at(pts)
-        dens = np.exp(log_p - np.max(log_p)).reshape(gx.size, gy.size)
-        mass = float(np.trapezoid(np.trapezoid(dens, gy, axis=1), gx))
-        if mass <= 0.0:
-            raise ValueError("quadrature grid carries no density mass")
-        vals = stein_kernel_vector(target, kernel, pts, np.asarray(y, dtype=float))
-        vals = vals.reshape(gx.size, gy.size)
-        num = float(np.trapezoid(np.trapezoid(dens * vals, gy, axis=1), gx))
-        return num / mass
-    raise ValueError("identity check supports dimension 1 or 2 targets only")
+
+        def integrate(vals: np.ndarray) -> float:
+            on_grid = vals.reshape(gx.size, gy.size)
+            return float(np.trapezoid(np.trapezoid(on_grid, gy, axis=1), gx))
+
+    else:
+        raise ValueError("identity check supports dimension 1 or 2 targets only")
+    log_p = target.log_density_at(pts)
+    dens = np.exp(log_p - np.max(log_p))
+    mass = integrate(dens)
+    if mass <= 0.0:
+        raise ValueError("quadrature grid carries no density mass")
+    ys = np.asarray(y, dtype=float)[None, :]
+    vals = stein_kernel_block(pts, ys, target.score_at(pts), target.score_at(ys), kernel)
+    return integrate(dens * vals[:, 0]) / mass

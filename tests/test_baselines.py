@@ -1,12 +1,14 @@
 """Comparator weighting schemes: exact IS, control functional, KDE, ESS."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import gamma
 
 from steinweights.baselines import (
+    _loo_log_density,
     effective_sample_size,
     kde_rule_of_thumb_bandwidth,
     weights_control_functional,
@@ -19,7 +21,7 @@ from steinweights.errors import (
     SolverError,
     UnsupportedConfigurationError,
 )
-from steinweights.kernels import RbfKernel
+from steinweights.kernels import RbfKernel, pairwise_sq_dists
 from steinweights.stein import SteinGram, stein_gram
 from steinweights.targets import random_gaussian_mixture, standard_normal_target
 
@@ -236,6 +238,48 @@ class TestKdeWeights:
         pts = np.zeros((5, 1))
         with pytest.raises((DegenerateWeightsError, ValueError)):
             weights_kde(mix.as_target(), pts, normalize=True)
+
+
+def whole_matrix_loo_log_density(pts, bandwidth):
+    """The leave-one-out density from one (n, n) kernel matrix."""
+    n, d = pts.shape
+    h2 = bandwidth * bandwidth
+    kernel_vals = np.exp(-pairwise_sq_dists(pts) / (2.0 * h2))
+    np.fill_diagonal(kernel_vals, 0.0)
+    sums = kernel_vals.sum(axis=1)
+    return np.log(sums) - 0.5 * d * np.log(2.0 * np.pi * h2) - np.log(n)
+
+
+class TestTiledLooDensity:
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 513])
+    def test_matches_whole_matrix_reference(self, n):
+        pts = np.random.default_rng(n).standard_normal((n, 3))
+        bandwidth = kde_rule_of_thumb_bandwidth(pts)
+        np.testing.assert_allclose(
+            _loo_log_density(pts, bandwidth),
+            whole_matrix_loo_log_density(pts, bandwidth),
+            rtol=1e-14,
+        )
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+    def test_isolated_point_raises(self, n):
+        # The last point is far beyond the reach of the kernel, so its
+        # density underflows to zero; for n > 256 it sits in a later tile.
+        pts = np.random.default_rng(n).standard_normal((n, 2))
+        pts[-1] = 1e3
+        with pytest.raises(DegenerateWeightsError, match="isolated point"):
+            _loo_log_density(pts, 0.5)
+
+    def test_peak_memory_below_half_a_buffer(self):
+        n = 800
+        pts = np.random.default_rng(2).standard_normal((n, 2))
+        tracemalloc.start()
+        try:
+            _loo_log_density(pts, 0.4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 8 * n * n
 
 
 class TestEffectiveSampleSize:

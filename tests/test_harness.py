@@ -78,6 +78,43 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(n_grid=[0, 10])
 
+    def test_misspelled_scheme_option_rejected_before_sampling(self, monkeypatch):
+        # A typo must not leave the scheme to run on its defaults.
+        drawn = []
+        monkeypatch.setattr(harness, "_sample_points", lambda *args: drawn.append(args))
+        monkeypatch.delenv("STEINWEIGHTS_PARALLEL", raising=False)
+        schemes = [{"kind": "stein", "max_iters": 5, "solvr": "frank_wolfe"}]
+        with pytest.raises(ValueError, match="solvr"):
+            run_experiment(small_config(schemes=schemes))
+        assert drawn == []
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            {"kind": "uniform", "max_iters": 5},
+            {"kind": "exact_is", "lam": 1.0},
+            {"kind": "stein", "lam": 1.0},
+            {"kind": "control_functional", "bandwidth": 1.0},
+            {"kind": "kde_normalized", "solver": "auto"},
+        ],
+    )
+    def test_option_of_another_kind_rejected(self, scheme):
+        bad = next(key for key in scheme if key != "kind")
+        with pytest.raises(ValueError, match=bad):
+            small_config(schemes=[scheme])
+
+    def test_every_declared_option_accepted(self):
+        schemes = [
+            {"kind": "uniform", "label": "flat"},
+            {"kind": "stein", "lower_bound": 0.0, "solver": "auto", "max_iters": 5,
+             "tol": 1e-10},
+            {"kind": "control_functional", "lam": 1e-3},
+            {"kind": "control_functional_normalized", "lam": 1e-3},
+            {"kind": "kde", "bandwidth": 0.5},
+            {"kind": "kde_normalized", "bandwidth": 0.5},
+        ]
+        assert small_config(schemes=schemes).schemes == tuple(schemes)
+
     def test_missing_required_key_named_in_error(self):
         data = small_config().to_dict()
         del data["seed"]

