@@ -169,9 +169,14 @@ def median_heuristic_bandwidth(points: np.ndarray) -> float:
         raise ValueError("median heuristic needs at least two points")
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
-    # The pair array is fresh, so the median may partition it in place.
+    # The pair array is fresh and finite, so one in-place selection finds
+    # the median; for an even count the lower middle value is the largest
+    # one left of it. (a + b) / 2 is the arithmetic np.median uses.
     sq = pdist(points, metric="sqeuclidean")
-    med = float(np.median(sq, overwrite_input=True))
+    half = sq.size // 2
+    sq.partition(half)
+    upper = sq[half]
+    med = float(upper if sq.size % 2 else (sq[:half].max() + upper) / 2)
     if med <= 0.0:
         raise DegenerateBandwidthError(
             "median pairwise squared distance is zero; points are (mostly) duplicated"

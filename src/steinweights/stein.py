@@ -18,7 +18,7 @@ from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import GramIntegrityError, ScoreEvaluationError
 from .kernels import RbfKernel, _sq_dist_tile, _upper_tiles
@@ -128,6 +128,16 @@ class ScoreTarget:
                 f"log-density is not usable at point index {idx}", point=pts[idx].copy()
             )
         return float(out[0]) if single else out
+
+
+def _gram_product(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K x for an exactly symmetric, contiguous K, reading one triangle of K.
+
+    ``dsymv`` takes a Fortran-ordered matrix; f2py would copy a C-ordered
+    one on every call. The transpose of a C-ordered K is a Fortran-ordered
+    view that equals K, so that is what gets passed.
+    """
+    return blas.dsymv(1.0, mat.T if mat.flags.c_contiguous else mat, x)
 
 
 def _psd_ridge(mat: np.ndarray) -> float:
@@ -299,6 +309,8 @@ def stein_gram(target: ScoreTarget, kernel: RbfKernel, points: np.ndarray) -> St
 def ksd_weighted(gram: SteinGram | np.ndarray, weights: np.ndarray) -> float:
     """Weighted squared discrepancy w' K_p w.
 
+    A :class:`SteinGram` matrix is exactly symmetric, so its K_p w is one
+    BLAS ``dsymv`` that reads one triangle; a plain array is used as given.
     Small negative values from rounding, within 1e-10 * n * max(diag), clamp
     to zero. Anything more negative indicates a broken Gram matrix and
     raises :class:`GramIntegrityError`.
@@ -311,7 +323,10 @@ def ksd_weighted(gram: SteinGram | np.ndarray, weights: np.ndarray) -> float:
         )
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    raw = float(w @ mat @ w)
+    if isinstance(gram, SteinGram):
+        raw = float(w @ _gram_product(mat, w))
+    else:
+        raw = float(w @ mat @ w)
     n = mat.shape[0]
     slack = _KSD_CLAMP_RTOL * n * max(float(np.max(np.diag(mat))), 0.0)
     if raw < -slack:

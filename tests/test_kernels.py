@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from steinweights.errors import DegenerateBandwidthError
 from steinweights.kernels import (
@@ -174,3 +175,19 @@ class TestMedianHeuristic:
         pts = np.zeros((4, 2))
         with pytest.raises(DegenerateBandwidthError):
             median_heuristic_bandwidth(pts)
+
+    def test_selection_bit_equal_to_numpy_median(self):
+        # One in-place selection returns the same float as np.median over
+        # the pair distances, for odd and even pair counts.
+        rng = np.random.default_rng(21)
+        for n in (2, 3, 4, 5, 201, 1600):
+            pts = rng.standard_normal((n, 3))
+            dup = pts.copy()
+            dup[n // 2 :] = dup[0]
+            for p in (pts, dup, np.round(pts, 1)):
+                expect = float(np.median(pdist(p, metric="sqeuclidean")))
+                if expect > 0.0:
+                    assert median_heuristic_bandwidth(p) == expect
+                else:
+                    with pytest.raises(DegenerateBandwidthError):
+                        median_heuristic_bandwidth(p)

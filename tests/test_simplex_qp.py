@@ -12,13 +12,12 @@ from steinweights.simplex_qp import (
     _ARMIJO_FRACTION,
     _MAX_BACKTRACKS,
     QpProblem,
-    _gram_product,
     _lmo_vertex,
     solve,
     solve_frank_wolfe,
     solve_mirror_descent,
 )
-from steinweights.stein import SteinGram, stein_gram
+from steinweights.stein import SteinGram, _gram_product, stein_gram
 from steinweights.targets import random_gaussian_mixture, standard_normal_target
 from support import enumerate_qp_optimum, grid_qp_optimum, random_psd
 
@@ -171,12 +170,15 @@ def _matmul_product(mat, x):
     return mat @ x
 
 
-def _reference_mirror_descent(problem, max_iters, tol=1e-10, product=None):
-    """The mirror-descent loop as it was before products with K were shared:
-    it scores a candidate with c' (K c) and recomputes K w after acceptance.
-    Products go through ``product``, the solvers' helper unless given.
+def _reference_mirror_descent(problem, max_iters, tol=1e-10, product=None, growth=None):
+    """The mirror-descent loop as it was before products with K were shared
+    and buffers reused: it scores a candidate with c' (K c), recomputes K w
+    after acceptance, and allocates fresh arrays for every step. Products
+    go through ``product``, the solvers' helper unless given; the step size
+    grows by ``growth``, the solver's ``_ETA_GROWTH`` unless given.
     Returns (weights, objective, iterations, converged, gap)."""
     product = product or simplex_qp._gram_product
+    growth = growth or simplex_qp._ETA_GROWTH
     mat = problem.gram
     n = problem.n
     w = np.full(n, 1.0 / n)
@@ -210,7 +212,7 @@ def _reference_mirror_descent(problem, max_iters, tol=1e-10, product=None):
         w = candidate
         obj = cand_obj
         grad = 2.0 * product(mat, w)
-        eta *= 2.0
+        eta *= growth
         if decrease <= tol * max(abs(obj), 1e-300):
             converged = True
             break
@@ -439,3 +441,24 @@ class TestSymmetricProduct:
             assert sol.converged == converged
             scale = float(np.max(np.abs(weights)))
             assert np.max(np.abs(sol.weights - weights)) <= 1e-10 * scale
+
+
+class TestStepSizeGrowth:
+    """Mirror descent grows eta by 1.25, not 2, after an accepted step."""
+
+    def test_grown_step_rarely_rejected(self, product_calls):
+        # Doubling made the next candidate fail almost every time, about
+        # 2 products per iteration.
+        sol = solve_mirror_descent(QpProblem(gram=_stein_gram_matrix()), max_iters=300)
+        assert sol.iterations == 300
+        assert len(product_calls) <= 1.4 * sol.iterations
+
+    def test_drift_against_doubling(self):
+        # The step-size policy moves the early-stopped iterate, not where
+        # it heads: on the criterion-05 target at n = 200, 2000 iterations
+        # growing eta by 1.25 land near the iterate of doubling it.
+        problem = QpProblem(gram=_stein_gram_matrix(n=200, seed=5))
+        sol = solve_mirror_descent(problem, max_iters=2000)
+        weights, objective, _, _, _ = _reference_mirror_descent(problem, 2000, growth=2.0)
+        assert np.sum(np.abs(sol.weights - weights)) <= 0.05
+        assert abs(sol.objective - objective) <= 0.05 * objective

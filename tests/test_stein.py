@@ -285,6 +285,19 @@ class TestKsdWeighted:
         val = ksd_weighted(gram, np.array([0.5, 0.5]))
         assert val == 0.0
 
+    def test_symmetric_product_matches_full_quadratic_form(self):
+        # A SteinGram's w' K w reads one triangle through dsymv; it moves
+        # the full product only by rounding, for C- and F-ordered Grams.
+        target = random_gaussian_mixture(3, 2, seed=1).as_target()
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 50, 300):
+            gram = stein_gram(target, RbfKernel(1.5), rng.standard_normal((n, 2)))
+            fortran = self.make_gram(np.asfortranarray(gram.matrix))
+            for w in (np.full(n, 1.0 / n), rng.dirichlet(np.ones(n))):
+                full = float(w @ gram.matrix @ w)
+                for g in (gram, fortran):
+                    assert ksd_weighted(g, w) == pytest.approx(full, rel=1e-12, abs=0.0)
+
     def test_large_negative_is_integrity_error(self):
         gram = SteinGram.__new__(SteinGram)
         object.__setattr__(gram, "matrix", np.array([[1.0, -2.0], [-2.0, 1.0]]))
