@@ -19,8 +19,8 @@ from .errors import (
     SolverError,
     UnsupportedConfigurationError,
 )
-from .kernels import _sq_dist_tile, _upper_tiles
-from .stein import ScoreTarget, SteinGram, _psd_ridge, _ridge_cholesky
+from .kernels import _exponent_tile, _sq_dist_factors, _upper_tiles
+from .stein import ScoreTarget, SteinGram, _gram_product, _psd_ridge, _ridge_cholesky
 
 __all__ = [
     "weights_uniform",
@@ -131,8 +131,12 @@ def weights_control_functional(
         u, _ = lapack.dpotrs(factor, rhs, lower=1)
         weights = u / (1.0 + float(u.sum()))
 
+    symmetric = isinstance(gram, SteinGram)
+
     def residual(w: np.ndarray) -> float:
-        return float(np.max(np.abs(mat @ w + float(w.sum()) + lam * w - rhs)))
+        # A SteinGram is exactly symmetric: its K w reads one triangle.
+        kw = _gram_product(mat, w) if symmetric else mat @ w
+        return float(np.max(np.abs(kw + float(w.sum()) + lam * w - rhs)))
 
     tol = 1e-8 * n * max(1.0, _system_abs_max(mat, lam))
     if weights is None or not np.all(np.isfinite(weights)) or residual(weights) > tol:
@@ -176,23 +180,21 @@ def _loo_log_density(points: np.ndarray, bandwidth: float) -> np.ndarray:
     """Leave-one-out Gaussian kernel density estimate, in log space.
 
     q_i(x_i) = sum_{j != i} N(x_i; x_j, h^2 I) / n, with the sample count n
-    in the denominator.
+    in the denominator. Each upper-triangle tile of the kernel values is
+    exp of one GEMM of the centered augmented rows of
+    :func:`~steinweights.kernels._sq_dist_factors`, the exponent
+    -||x_i - x_j||^2 / (2 h^2); no (n, n) array is built.
     """
-    pts = points
-    n, d = pts.shape
+    n, d = points.shape
     h2 = bandwidth * bandwidth
+    a, b = _sq_dist_factors(points - points.mean(axis=0), 2.0 * h2)
     # Row sums over the upper-triangle tiles: each off-diagonal tile gives
     # its rows' sums and, through its mirror, its columns' sums.
     sums = np.zeros(n)
     for rows, cols in _upper_tiles(n):
-        x = pts[rows]
-        y = x if rows == cols else pts[cols]
-        # exp(-sq / (2 h^2)), in place in the distance tile.
-        kernel_vals = _sq_dist_tile(x, y)
-        np.negative(kernel_vals, out=kernel_vals)
-        kernel_vals /= 2.0 * h2
+        kernel_vals = _exponent_tile(a[rows], b[cols], diagonal=rows == cols)
         np.exp(kernel_vals, out=kernel_vals)
-        if y is x:
+        if rows == cols:
             np.fill_diagonal(kernel_vals, 0.0)
         else:
             sums[cols] += kernel_vals.sum(axis=0)

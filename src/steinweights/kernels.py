@@ -121,31 +121,57 @@ def _upper_tiles(n: int):
             yield rows, slice(j0, min(j0 + _TILE_ROWS, n))
 
 
-def _sq_dist_tile(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of x and of y, clamped at zero.
+def _sq_dist_factors(centered: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Augmented rows A and B with A_i'B_j = -||x_i - x_j||^2 / scale.
 
-    A tile of a point set against itself, passed as the same array object
-    (``y is x``), gets exact zero self-distances on its diagonal.
+    The rows are [x, ||x||^2, 1] and [(2/scale) x, -1/scale, -||x||^2/scale],
+    so the exponent of a tile of RBF values is one GEMM of width d + 2.
+    The expansion ||x||^2 + ||y||^2 - 2x'y cancels by about eps times the
+    squared norms, so the rows of ``centered`` should be the points minus
+    their mean: distances do not change, and the rounding scales with the
+    spread of the cloud instead of its distance from the origin.
     """
-    sq = x @ y.T
-    sq *= -2.0
-    sq += np.sum(x * x, axis=1)[:, None]
-    sq += np.sum(y * y, axis=1)[None, :]
-    np.maximum(sq, 0.0, out=sq)
-    if y is x:
-        np.fill_diagonal(sq, 0.0)
-    return sq
+    n, d = centered.shape
+    norms = np.einsum("ij,ij->i", centered, centered)
+    a = np.empty((n, d + 2))
+    a[:, :d] = centered
+    a[:, d] = norms
+    a[:, d + 1] = 1.0
+    b = np.empty((n, d + 2))
+    np.multiply(centered, 2.0 / scale, out=b[:, :d])
+    b[:, d] = -1.0 / scale
+    np.multiply(norms, -1.0 / scale, out=b[:, d + 1])
+    return a, b
+
+
+def _exponent_tile(a: np.ndarray, b: np.ndarray, diagonal: bool) -> np.ndarray:
+    """-||x_i - y_j||^2 / scale from rows A of :func:`_sq_dist_factors` at
+    the tile's rows and rows B at its columns, clamped to at most zero.
+
+    A ``diagonal`` tile, a point set against itself, gets exact zeros on its
+    diagonal.
+    """
+    exponent = a @ b.T
+    np.minimum(exponent, 0.0, out=exponent)
+    if diagonal:
+        np.fill_diagonal(exponent, 0.0)
+    return exponent
 
 
 def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     """Full (n, n) matrix of squared Euclidean distances, clamped at zero.
 
-    Built in place in the (n, n) output, with no (n, n) temporary. The
-    package's pairwise kernels do not build this matrix: they work through
-    the same squared distances one upper-triangle tile at a time.
+    One GEMM of the augmented rows of :func:`_sq_dist_factors` on the
+    centered points, the product every pairwise kernel of the package
+    computes one upper-triangle tile at a time; the diagonal is exactly
+    zero.
     """
     points = np.asarray(points, dtype=float)
-    return _sq_dist_tile(points, points)
+    a, b = _sq_dist_factors(points - points.mean(axis=0), 1.0)
+    sq = _exponent_tile(a, b, diagonal=True)
+    # 0 - t rather than -t, so that zero distances are +0.0.
+    np.subtract(0.0, sq, out=sq)
+    return sq
 
 
 def median_heuristic_bandwidth(points: np.ndarray) -> float:

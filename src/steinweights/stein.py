@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import GramIntegrityError, ScoreEvaluationError
-from .kernels import RbfKernel, _sq_dist_tile, _upper_tiles
+from .kernels import RbfKernel, _exponent_tile, _sq_dist_factors, _upper_tiles
 
 __all__ = [
     "ExactMoments",
@@ -214,6 +214,54 @@ class SteinGram:
         return self.matrix.shape[0]
 
 
+def _stein_factors(
+    centered: np.ndarray, scores: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Augmented rows (A, B, P, Q) of centered points and their scores.
+
+    A_i'B_j = -||x_i - x_j||^2 / h is the exponent of k (see
+    :func:`~steinweights.kernels._sq_dist_factors`), and P_i'Q_j is the
+    bracket of k_p = k * bracket,
+
+        s_i's_j + (2/h)(s_i - s_j)'(x_i - x_j) + 2d/h - 4||x_i - x_j||^2/h^2,
+
+    with rows P = [s, x, u + 2d/h, 1] and Q = [s - (2/h) x, (8/h^2) x - (2/h) s, 1, u],
+    where u = (2/h) s'x - (4/h^2)||x||^2. Both expressions depend on the
+    points only through x_i - x_j, so any common shift of the points leaves
+    them unchanged; centering keeps the cancellation small.
+    """
+    n, d = centered.shape
+    a, b = _sq_dist_factors(centered, h)
+    u = (2.0 / h) * np.einsum("ij,ij->i", scores, centered) - (4.0 / (h * h)) * a[:, d]
+    p = np.empty((n, 2 * d + 2))
+    p[:, :d] = scores
+    p[:, d : 2 * d] = centered
+    p[:, 2 * d] = u + 2.0 * d / h
+    p[:, 2 * d + 1] = 1.0
+    q = np.empty((n, 2 * d + 2))
+    q[:, :d] = scores - (2.0 / h) * centered
+    q[:, d : 2 * d] = (8.0 / (h * h)) * centered - (2.0 / h) * scores
+    q[:, 2 * d] = 1.0
+    q[:, 2 * d + 1] = u
+    return a, b, p, q
+
+
+def _stein_tile(
+    a: np.ndarray, b: np.ndarray, p: np.ndarray, q: np.ndarray, diagonal: bool
+) -> np.ndarray:
+    """exp(A B') * (P Q') for the factor rows of one tile's rows (A, P) and
+    columns (B, Q): two GEMMs, then one clamp, one exp and one multiply.
+
+    A ``diagonal`` tile, a point set against itself, has k = 1 exactly on
+    its diagonal.
+    """
+    k = _exponent_tile(a, b, diagonal)
+    np.exp(k, out=k)
+    tile = p @ q.T
+    tile *= k
+    return tile
+
+
 def stein_kernel_block(
     X: np.ndarray,
     Y: np.ndarray,
@@ -223,30 +271,17 @@ def stein_kernel_block(
 ) -> np.ndarray:
     """k_p(x_i, y_j) for every row x_i of X and y_j of Y, shape (len X, len Y).
 
-    ``S_X`` and ``S_Y`` are the scores at the rows of X and Y. Passing the
-    same array object as X and Y gives a block of a point set against
-    itself, whose self-distances are exactly zero.
+    ``S_X`` and ``S_Y`` are the scores at the rows of X and Y. The block is
+    exp(A B') * (P Q') over the augmented rows of :func:`_stein_factors`,
+    with X and Y centered on the mean of all their rows. Passing the same
+    array object as X and Y gives a block of a point set against itself,
+    whose self-distances are exactly zero.
     """
     h = kernel.bandwidth
-    d = X.shape[1]
-    sq = _sq_dist_tile(X, Y)
-    k = np.multiply(sq, -1.0 / h)
-    np.exp(k, out=k)
-    # Trace term, overwriting the distance block.
-    bracket = sq
-    bracket *= -4.0 / (h * h)
-    bracket += 2.0 * d / h
-    # Score-score term.
-    bracket += S_X @ S_Y.T
-    # Cross terms (2/h) * (s_i'x_i + s_j'y_j - s_i'y_j - s_j'x_i).
-    cross = S_X @ Y.T
-    cross += (S_Y @ X.T).T
-    cross *= -2.0 / h
-    cross += (2.0 / h) * np.sum(S_X * X, axis=1)[:, None]
-    cross += (2.0 / h) * np.sum(S_Y * Y, axis=1)[None, :]
-    bracket += cross
-    bracket *= k
-    return bracket
+    center = np.concatenate([X, Y]).mean(axis=0)
+    a, _, p, _ = _stein_factors(X - center, S_X, h)
+    _, b, _, q = _stein_factors(Y - center, S_Y, h)
+    return _stein_tile(a, b, p, q, diagonal=Y is X)
 
 
 def stein_kernel_eval(
@@ -278,29 +313,31 @@ def stein_kernel_vector(
 def stein_gram(target: ScoreTarget, kernel: RbfKernel, points: np.ndarray) -> SteinGram:
     """Assemble the full score-weighted Gram matrix on a point set.
 
-    Square tiles of the upper triangle are computed by
-    :func:`stein_kernel_block` and written with their transposes into one
-    (n, n) output, so each pair is computed once, the scratch space is a
-    few tiles, and the result is exactly symmetric; :class:`SteinGram`
+    The points are centered on their mean and turned into the augmented
+    rows of :func:`_stein_factors` once; each square tile of the upper
+    triangle is then two GEMMs, exp(A B') * (P Q'), the tile
+    :func:`stein_kernel_block` computes, written with its transpose into
+    one (n, n) output. So each pair is computed once, the scratch space is
+    a few tiles, and the result is exactly symmetric; :class:`SteinGram`
     skips its symmetry comparison. Apart from the output, the only (n, n)
     buffer is the copy its PSD check factors. Entries agree with
-    :func:`stein_kernel_eval` applied pairwise.
+    :func:`stein_kernel_eval` applied pairwise, and do not move beyond
+    rounding when the points and the target are shifted together.
     """
     pts = _as_point_rows(points)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError(f"expected a non-empty (n, d) point array, got {pts.shape}")
     scores = target.score_at(pts)
     n = pts.shape[0]
+    a, b, p, q = _stein_factors(pts - pts.mean(axis=0), scores, kernel.bandwidth)
     out = np.empty((n, n))
     for rows, cols in _upper_tiles(n):
-        x, s_x = pts[rows], scores[rows]
+        tile = _stein_tile(a[rows], b[cols], p[rows], q[cols], diagonal=rows == cols)
         if rows == cols:
-            tile = stein_kernel_block(x, x, s_x, s_x, kernel)
             # Keep the upper triangle and mirror it into the lower one.
             lower = np.tri(len(tile), k=-1, dtype=bool)
             out[rows, rows] = np.where(lower, tile.T, tile)
         else:
-            tile = stein_kernel_block(x, pts[cols], s_x, scores[cols], kernel)
             out[rows, cols] = tile
             out[cols, rows] = tile.T
     return SteinGram(matrix=out, kernel=kernel, _mirrored=True)

@@ -6,6 +6,10 @@ support subset and keeps the best feasible candidate, which is exact for the
 small matrices used in tests. ``grid_qp_optimum`` is a literal simplex grid
 scan with local refinement; it is only practical for n <= 3 but serves to
 cross-check the enumeration oracle.
+
+``longdouble_stein_gram`` evaluates the Stein kernel pair by pair from its
+defining formula in extended precision, as an accuracy oracle for the
+package's float64 Gram.
 """
 
 import itertools
@@ -132,3 +136,28 @@ def central_difference(f, x, eps=1e-5):
         step[i] = eps
         grad[i] = (f(x + step) - f(x - step)) / (2.0 * eps)
     return grad
+
+
+def longdouble_stein_gram(points, scores, bandwidth):
+    """Stein Gram of the RBF kernel exp(-||x - y||^2 / h), pair by pair.
+
+    Each entry is exp(-||r||^2 / h) (s_i's_j + (2/h)(s_i - s_j)'r + 2d/h
+    - 4||r||^2 / h^2) with r = x_i - x_j, evaluated in np.longdouble from the
+    float64 points and scores and rounded to float64 once at the end.
+    """
+    x = np.asarray(points, dtype=np.longdouble)
+    s = np.asarray(scores, dtype=np.longdouble)
+    h = np.longdouble(bandwidth)
+    n, d = x.shape
+    out = np.empty((n, n))
+    for i in range(n):
+        r = x[i] - x
+        sq = np.sum(r * r, axis=1)
+        bracket = (
+            np.sum(s[i] * s, axis=1)
+            + (2 / h) * np.sum((s[i] - s) * r, axis=1)
+            + 2 * d / h
+            - 4 * sq / (h * h)
+        )
+        out[i] = np.exp(-sq / h) * bracket
+    return out

@@ -282,6 +282,15 @@ class TestTiledLooDensity:
         assert peak <= 0.5 * 8 * n * n
 
 
+class TestLooTranslation:
+    @pytest.mark.parametrize("shift", [1e3, 1e4])
+    def test_translation_moves_log_density_by_rounding_only(self, shift):
+        pts = np.random.default_rng(6).standard_normal((513, 3))
+        bandwidth = kde_rule_of_thumb_bandwidth(pts)
+        moved = _loo_log_density(pts + shift, bandwidth) - _loo_log_density(pts, bandwidth)
+        assert np.max(np.abs(moved)) <= 1e-11
+
+
 class TestEffectiveSampleSize:
     def test_uniform_weights_full_size(self):
         assert effective_sample_size(np.full(10, 0.1)) == pytest.approx(10.0, abs=1e-12)
