@@ -9,16 +9,17 @@ import sys
 
 import numpy as np
 
-from . import baselines, simplex_qp
 from .errors import SteinWeightsError
-from .harness import (
-    SCHEME_KINDS,
-    build_target_model,
-    read_points,
-    run_experiment,
-)
+from .harness import SCHEMES, build_target_model, read_points, run_experiment
 from .kernels import RbfKernel, median_heuristic_bandwidth
 from .stein import ksd_weighted, stein_gram
+
+
+# The weights flags: each scheme option once, with the kinds that take it.
+_SCHEME_FLAGS = {
+    name: (option, [s.kind for s in SCHEMES.values() if name in s.options])
+    for scheme in SCHEMES.values() for name, option in scheme.options.items()
+}
 
 
 def _load_json(path) -> dict:
@@ -77,40 +78,26 @@ def _gram_from_args(args, target, points):
 
 
 def _cmd_weights(args) -> int:
+    scheme = SCHEMES[args.scheme]
+    takes = set(scheme.options)
+    if scheme.needs_gram:
+        takes.add("bandwidth")  # the Stein-kernel bandwidth
+    if scheme.needs_proposal:
+        takes.add("proposal")
+    extra = [name for name in (*_SCHEME_FLAGS, "proposal")
+             if getattr(args, name) is not None and name not in takes]
+    if extra:
+        flags = ", ".join("--" + name.replace("_", "-") for name in extra)
+        raise ValueError(f"--scheme {scheme.kind} does not take {flags}")
+    options = scheme.options_of({name: getattr(args, name) for name in scheme.options})
     points = read_points(args.points)
-    model = build_target_model(_load_json(args.target))
-    target = model.as_target()
-    scheme = args.scheme
-    if scheme == "uniform":
-        weights = baselines.weights_uniform(points.shape[0])
-    elif scheme == "stein":
-        gram = _gram_from_args(args, target, points)
-        problem = simplex_qp.QpProblem(gram=gram, lower_bound=args.lower_bound)
-        solution = simplex_qp.solve(
-            problem, method=args.solver, max_iters=args.max_iters, tol=args.tol
-        )
-        weights = solution.weights
-    elif scheme in ("control_functional", "control_functional_normalized"):
-        gram = _gram_from_args(args, target, points)
-        weights = baselines.weights_control_functional(
-            gram, lam=args.lam, normalize=scheme.endswith("normalized")
-        )
-    elif scheme in ("kde", "kde_normalized"):
-        weights = baselines.weights_kde(
-            target,
-            points,
-            bandwidth=args.bandwidth,
-            normalize=scheme.endswith("normalized"),
-        )
-    elif scheme == "exact_is":
-        if args.proposal is None:
-            raise SteinWeightsError(
-                "exact_is needs --proposal with a mixture density spec"
-            )
-        proposal = build_target_model(_load_json(args.proposal))
-        weights = baselines.weights_exact_is(target, proposal.log_density, points)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    target = build_target_model(_load_json(args.target)).as_target()
+    log_q = None
+    if args.proposal is not None:
+        log_q = build_target_model(_load_json(args.proposal)).log_density
+    scheme.check_inputs(target, log_q)
+    gram = _gram_from_args(args, target, points) if scheme.needs_gram else None
+    weights, _ = scheme.weights(target, points, gram, log_q, scheme.normalize, **options)
     _write_weights(args.output, weights)
     return 0
 
@@ -140,18 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
     w_p = sub.add_parser("weights", help="fit weights for a point set")
     w_p.add_argument("--points", required=True, help="delimited point file")
     w_p.add_argument("--target", required=True, help="JSON target spec")
-    w_p.add_argument("--scheme", default="stein", choices=SCHEME_KINDS)
-    w_p.add_argument("--lower-bound", type=float, default=0.0)
-    w_p.add_argument("--solver", default="auto")
-    w_p.add_argument("--max-iters", type=int, default=None)
-    w_p.add_argument("--tol", type=float, default=None)
-    w_p.add_argument(
-        "--bandwidth",
-        type=float,
-        default=None,
-        help="kernel bandwidth (stein, control functional) or density bandwidth (kde)",
-    )
-    w_p.add_argument("--lam", type=float, default=None, help="control functional ridge")
+    w_p.add_argument("--scheme", default="stein", choices=tuple(SCHEMES))
+    for name, (option, kinds) in _SCHEME_FLAGS.items():
+        help_text = f"{option.help}; {option.range}; {', '.join(kinds)}"
+        if name == "bandwidth":
+            help_text += "; also the Stein-kernel bandwidth of schemes with a Gram"
+        w_p.add_argument(
+            "--" + name.replace("_", "-"), type=option.type, default=None,
+            choices=option.choices or None, help=help_text,
+        )
     w_p.add_argument("--proposal", default=None, help="JSON proposal spec for exact_is")
     w_p.add_argument("--output", default=None, help="weight CSV path (default stdout)")
     w_p.set_defaults(func=_cmd_weights)

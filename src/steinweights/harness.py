@@ -16,11 +16,13 @@ is requested).
 from __future__ import annotations
 
 import csv
+import math
 import multiprocessing
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -42,7 +44,7 @@ from .samplers import (
     sgld_chains,
     tune_mala_step,
 )
-from .stein import ScoreTarget, SteinGram, ksd_weighted, stein_gram
+from .stein import ScoreTarget, ksd_weighted, stein_gram
 from .targets import (
     GaussianMixture,
     ProbitModel,
@@ -74,19 +76,6 @@ __all__ = [
 ]
 
 PARALLEL_ENV_VAR = "STEINWEIGHTS_PARALLEL"
-
-# Option names each scheme kind accepts; "kind" and "label" are allowed for
-# every kind.
-SCHEME_OPTIONS = {
-    "uniform": (),
-    "stein": ("lower_bound", "solver", "max_iters", "tol"),
-    "exact_is": (),
-    "control_functional": ("lam",),
-    "control_functional_normalized": ("lam",),
-    "kde": ("bandwidth",),
-    "kde_normalized": ("bandwidth",),
-}
-SCHEME_KINDS = tuple(SCHEME_OPTIONS)
 
 TEST_FUNCTIONS = ("coordinate_mean", "coordinate_square", "random_cosine")
 
@@ -122,29 +111,33 @@ class ExperimentConfig:
     record_timing: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "target", dict(self.target))
+        object.__setattr__(self, "sampler", dict(self.sampler))
         schemes = tuple(dict(s) for s in self.schemes)
         if not schemes:
             raise ValueError("at least one weighting scheme is required")
         labels = [s.get("label", s.get("kind")) for s in schemes]
-        for s in schemes:
-            kind = s.get("kind")
-            if kind not in SCHEME_OPTIONS:
-                raise ValueError(f"unknown scheme kind {kind!r}")
-            unknown = set(s) - {"kind", "label", *SCHEME_OPTIONS[kind]}
-            if unknown:
-                raise ValueError(
-                    f"unknown option(s) {sorted(unknown)} for scheme kind {kind!r}; "
-                    f"allowed: {sorted(SCHEME_OPTIONS[kind]) + ['label']}"
-                )
         if len(set(labels)) != len(labels):
             raise ValueError("scheme labels must be unique; add 'label' to duplicates")
         object.__setattr__(self, "schemes", schemes)
-        n_grid = tuple(int(n) for n in self.n_grid)
-        if not n_grid or any(n < 1 for n in n_grid):
-            raise ValueError("n_grid must list positive sample sizes")
+        n_grid = tuple(self.n_grid)
+        if not n_grid or not all(_is_int(n) and n >= 1 for n in n_grid):
+            raise ValueError(f"n_grid must list positive integer sample sizes; got {self.n_grid!r}")
         object.__setattr__(self, "n_grid", n_grid)
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        for s in schemes:
+            if s.get("kind") not in SCHEMES:
+                raise ValueError(f"unknown scheme kind {s.get('kind')!r}")
+            lb = SCHEMES[s["kind"]].options_of(s).get("lower_bound", 0.0)
+            if max(n_grid) * lb > 1.0:
+                raise ValueError(
+                    f"lower_bound {lb} infeasible for n = {max(n_grid)} (n * lb > 1)"
+                )
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ValueError(f"trials must be a positive integer; got {self.trials!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer; got {self.seed!r}")
+        if not isinstance(self.record_timing, bool):
+            raise ValueError(f"record_timing must be true or false; got {self.record_timing!r}")
         fns = tuple(self.test_functions)
         for fn in fns:
             if fn not in TEST_FUNCTIONS:
@@ -155,47 +148,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {
-            "target",
-            "sampler",
-            "schemes",
-            "n_grid",
-            "trials",
-            "test_functions",
-            "seed",
-            "output_dir",
-            "ground_truth",
-            "record_timing",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(
-            target=dict(_require(data, "target", "experiment config")),
-            sampler=dict(data.get("sampler", {"kind": "iid"})),
-            schemes=tuple(_require(data, "schemes", "experiment config")),
-            n_grid=tuple(_require(data, "n_grid", "experiment config")),
-            trials=int(_require(data, "trials", "experiment config")),
-            test_functions=tuple(_require(data, "test_functions", "experiment config")),
-            seed=int(_require(data, "seed", "experiment config")),
-            output_dir=data.get("output_dir"),
-            ground_truth=data.get("ground_truth"),
-            record_timing=bool(data.get("record_timing", False)),
-        )
+        for key in ("target", "schemes", "n_grid", "trials", "test_functions", "seed"):
+            _require(data, key, "experiment config")
+        return cls(**{"sampler": {"kind": "iid"}, **data})
 
     def to_dict(self) -> dict:
-        return {
-            "target": dict(self.target),
-            "sampler": dict(self.sampler),
-            "schemes": [dict(s) for s in self.schemes],
-            "n_grid": list(self.n_grid),
-            "trials": self.trials,
-            "test_functions": list(self.test_functions),
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "ground_truth": self.ground_truth,
-            "record_timing": self.record_timing,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -408,6 +369,7 @@ class _RunContext:
     proposal: GaussianMixture | None
     proposal_log_density: Callable | None
     ground: GroundTruth
+    schemes: list  # (label, Scheme, options) per configured scheme
 
 
 def _build_context(cfg: ExperimentConfig, ground: GroundTruth | None = None) -> _RunContext:
@@ -432,18 +394,16 @@ def _build_context(cfg: ExperimentConfig, ground: GroundTruth | None = None) -> 
         _require(cfg.sampler, "minibatch_size", "sgld sampler")
     else:
         raise ValueError(f"unknown sampler kind {sampler_kind!r}")
-    for scheme in cfg.schemes:
-        if scheme["kind"] == "exact_is" and proposal_log_density is None:
-            raise UnsupportedConfigurationError(
-                "exact_is needs an iid sampler with a tractable proposal density"
-            )
-        if scheme["kind"] == "kde" and not target.density_normalized:
-            raise UnsupportedConfigurationError(
-                "unnormalized targets support only kde_normalized"
-            )
+    schemes = []
+    for spec in cfg.schemes:
+        entry = SCHEMES[spec["kind"]]
+        entry.check_inputs(target, proposal_log_density)
+        schemes.append((spec.get("label", entry.kind), entry, entry.options_of(spec)))
     if ground is None:
         ground = _resolve_ground_truth(cfg, model)
-    return _RunContext(cfg, model, target, proposal, proposal_log_density, ground)
+    return _RunContext(
+        cfg, model, target, proposal, proposal_log_density, ground, schemes
+    )
 
 
 def _chain_seed(seed_seq: np.random.SeedSequence) -> int:
@@ -516,61 +476,135 @@ def _truth_values(ctx: _RunContext, kind: str, omega, offset) -> np.ndarray:
     raise ValueError(f"unknown test function {kind!r}")
 
 
-def _scheme_weights(
-    ctx: _RunContext,
-    scheme: dict,
-    points: np.ndarray,
-    gram: SteinGram | None,
-) -> tuple[np.ndarray, int]:
-    """Compute one scheme's weights; returns (weights, solver iterations)."""
-    kind = scheme["kind"]
-    n = points.shape[0]
-    if kind == "uniform":
-        return baselines.weights_uniform(n), 0
-    if kind == "exact_is":
-        return (
-            baselines.weights_exact_is(ctx.target, ctx.proposal_log_density, points),
-            0,
-        )
-    if kind == "stein":
-        if gram is None:
-            raise UnsupportedConfigurationError("stein scheme needs a Gram matrix")
-        problem = simplex_qp.QpProblem(
-            gram=gram, lower_bound=float(scheme.get("lower_bound", 0.0))
-        )
-        solution = simplex_qp.solve(
-            problem,
-            method=scheme.get("solver", "auto"),
-            max_iters=scheme.get("max_iters"),
-            tol=scheme.get("tol"),
-        )
-        return solution.weights, solution.iterations
-    if kind in ("control_functional", "control_functional_normalized"):
-        if gram is None:
-            raise UnsupportedConfigurationError(
-                "control functional weights need a Gram matrix"
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class SchemeOption:
+    """A scheme option's type, range and default.
+
+    A number is finite and at least ``minimum`` (above it if ``above``);
+    ``bool`` is no number, and an ``int`` option takes no fraction. A
+    ``str`` is one of ``choices``. ``None`` stands for ``default``.
+    """
+
+    type: type
+    default: object = None
+    minimum: float | None = None
+    above: bool = False
+    choices: tuple = ()
+    help: str = ""
+
+    @property
+    def range(self) -> str:
+        if self.choices:
+            return "one of " + ", ".join(self.choices)
+        if self.minimum is None:
+            return "finite"
+        return f"finite and {'>' if self.above else '>='} {self.minimum:g}"
+
+    def parse(self, name: str, value):
+        if value is None:
+            return self.default
+        if self.choices:
+            ok = value in self.choices
+        else:
+            ok = _is_int(value) or (self.type is float and isinstance(value, float))
+            if ok:
+                value = self.type(value)
+                ok = math.isfinite(value) and (
+                    self.minimum is None or value > self.minimum
+                    or (value == self.minimum and not self.above))
+        if not ok:
+            raise ValueError(f"{name} must be {self.type.__name__}, {self.range}; got {value!r}")
+        return value
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """A weighting scheme: its options, the inputs it needs, its weights.
+
+    ``weights(target, points, gram, proposal_log_density, normalize,
+    **options)`` returns ``(weights, solver iterations)``, with
+    ``normalize`` set for the ``*_normalized`` kinds.
+    """
+
+    kind: str
+    weights: Callable
+    options: dict = field(default_factory=dict)
+    needs_gram: bool = False
+    needs_proposal: bool = False
+    needs_normalized_density: bool = False
+
+    @property
+    def normalize(self) -> bool:
+        return self.kind.endswith("_normalized")
+
+    def options_of(self, spec: dict) -> dict:
+        """Every option from a scheme spec, with defaults; ValueError on an
+        undeclared key ("kind" and "label" are always allowed) or bad value."""
+        unknown = set(spec) - {"kind", "label", *self.options}
+        if unknown:
+            raise ValueError(
+                f"unknown option(s) {sorted(unknown)} for scheme kind {self.kind!r}; "
+                f"allowed: {sorted(self.options) + ['label']}"
             )
-        lam = scheme.get("lam")
-        return (
-            baselines.weights_control_functional(
-                gram,
-                lam=None if lam is None else float(lam),
-                normalize=kind.endswith("normalized"),
-            ),
-            0,
-        )
-    if kind in ("kde", "kde_normalized"):
-        bandwidth = scheme.get("bandwidth")
-        return (
-            baselines.weights_kde(
-                ctx.target,
-                points,
-                bandwidth=None if bandwidth is None else float(bandwidth),
-                normalize=kind.endswith("normalized"),
-            ),
-            0,
-        )
-    raise ValueError(f"unknown scheme kind {kind!r}")
+        return {name: opt.parse(name, spec.get(name)) for name, opt in self.options.items()}
+
+    def check_inputs(self, target: ScoreTarget, proposal_log_density) -> None:
+        if self.needs_proposal and proposal_log_density is None:
+            raise UnsupportedConfigurationError(
+                f"{self.kind} needs a proposal density: an iid sampler or --proposal")
+        if self.needs_normalized_density and not target.density_normalized:
+            raise UnsupportedConfigurationError(
+                f"unnormalized targets support only {self.kind}_normalized")
+
+
+# The weights functions reach baselines and simplex_qp through their modules
+# at call time, so a patched module attribute is what runs.
+def _uniform(target, points, gram, log_q, normalize):
+    return baselines.weights_uniform(points.shape[0]), 0
+
+
+def _exact_is(target, points, gram, log_q, normalize):
+    return baselines.weights_exact_is(target, log_q, points), 0
+
+
+def _stein(target, points, gram, log_q, normalize, lower_bound, solver, max_iters, tol):
+    problem = simplex_qp.QpProblem(gram=gram, lower_bound=lower_bound)
+    solution = simplex_qp.solve(problem, method=solver, max_iters=max_iters, tol=tol)
+    return solution.weights, solution.iterations
+
+
+def _control_functional(target, points, gram, log_q, normalize, lam):
+    return baselines.weights_control_functional(gram, lam=lam, normalize=normalize), 0
+
+
+def _kde(target, points, gram, log_q, normalize, bandwidth):
+    return baselines.weights_kde(target, points, bandwidth=bandwidth, normalize=normalize), 0
+
+
+_LAM = {"lam": SchemeOption(float, minimum=0.0, help="ridge (default 1e-8·n·max diag K_p)")}
+_KDE_BANDWIDTH = {
+    "bandwidth": SchemeOption(float, minimum=0.0, above=True, help="KDE density bandwidth")
+}
+# Every weighting scheme by kind, for ExperimentConfig, the harness and the CLI.
+SCHEMES = {scheme.kind: scheme for scheme in (
+    Scheme("uniform", _uniform),
+    Scheme("stein", _stein, needs_gram=True, options={
+        "lower_bound": SchemeOption(float, 0.0, help="lower bound of every weight"),
+        "solver": SchemeOption(str, "auto", choices=("auto", "mirror_descent", "frank_wolfe"),
+                               help="simplex QP method"),
+        "max_iters": SchemeOption(int, minimum=1, help="solver iteration cap"),
+        "tol": SchemeOption(float, minimum=0.0, help="solver stopping tolerance"),
+    }),
+    Scheme("exact_is", _exact_is, needs_proposal=True),
+    Scheme("control_functional", _control_functional, _LAM, needs_gram=True),
+    Scheme("control_functional_normalized", _control_functional, _LAM, needs_gram=True),
+    Scheme("kde", _kde, _KDE_BANDWIDTH, needs_normalized_density=True),
+    Scheme("kde_normalized", _kde, _KDE_BANDWIDTH),
+)}
 
 
 def _failed_records(ctx: _RunContext, n: int, trial: int, scheme_label: str) -> list:
@@ -616,27 +650,29 @@ def _trial_records(ctx: _RunContext, n: int, trial: int) -> list:
     except SteinWeightsError:
         return [
             rec
-            for s in cfg.schemes
-            for rec in _failed_records(ctx, n, trial, s.get("label", s["kind"]))
+            for label, _, _ in ctx.schemes
+            for rec in _failed_records(ctx, n, trial, label)
         ]
     if "random_cosine" in cfg.test_functions:
         omega = fn_rng.standard_normal(ctx.target.dimension)
         offset = float(fn_rng.uniform(0.0, 2.0 * np.pi))
     records = []
     ksd_by_kind: dict[str, float] = {}
-    for scheme in cfg.schemes:
-        label = scheme.get("label", scheme["kind"])
+    for label, entry, options in ctx.schemes:
         start = time.perf_counter()
         try:
-            weights, iterations = _scheme_weights(ctx, scheme, points, gram)
+            weights, iterations = entry.weights(
+                ctx.target, points, gram, ctx.proposal_log_density, entry.normalize,
+                **options,
+            )
         except SteinWeightsError:
             records.extend(_failed_records(ctx, n, trial, label))
             continue
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         wall_ms = elapsed_ms if cfg.record_timing else 0.0
         ksd_val = ksd_weighted(gram, weights)
-        if scheme["kind"] in ("uniform", "exact_is", "stein"):
-            ksd_by_kind.setdefault(scheme["kind"], ksd_val)
+        if entry.kind in ("uniform", "exact_is", "stein"):
+            ksd_by_kind.setdefault(entry.kind, ksd_val)
         for fn in cfg.test_functions:
             ids, estimates = evaluate_test_function(fn, points, weights, omega, offset)
             truths = _truth_values(ctx, fn, omega, offset)

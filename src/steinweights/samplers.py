@@ -26,7 +26,6 @@ __all__ = [
     "ChainConfig",
     "sample_gmm_iid",
     "mala_chains",
-    "mala_log_acceptance",
     "sgld_chains",
     "mala_chain_moments",
     "tune_mala_step",
@@ -81,27 +80,6 @@ def sample_gmm_iid(mixture: GaussianMixture, n: int, seed) -> np.ndarray:
     comp = rng.choice(mixture.n_components, size=n, p=mixture.weights)
     eps = rng.standard_normal((n, mixture.dimension))
     return mixture.means[comp] + np.sqrt(mixture.variances[comp])[:, None] * eps
-
-
-def mala_log_acceptance(
-    target: ScoreTarget, current: np.ndarray, proposal: np.ndarray, step_size: float
-) -> np.ndarray:
-    """Log MALA acceptance ratio for each (current, proposal) row pair.
-
-    Zero when the proposal equals the current point, so such proposals are
-    always accepted.
-    """
-    cur = np.atleast_2d(np.asarray(current, dtype=float))
-    prop = np.atleast_2d(np.asarray(proposal, dtype=float))
-    eps = float(step_size)
-    log_p_cur = np.atleast_1d(target.log_density_at(cur))
-    log_p_prop = np.atleast_1d(target.log_density_at(prop))
-    s_cur = np.atleast_2d(target.score_at(cur))
-    s_prop = np.atleast_2d(target.score_at(prop))
-    fwd = prop - cur - eps * s_cur
-    bwd = cur - prop - eps * s_prop
-    correction = (np.sum(fwd * fwd, axis=1) - np.sum(bwd * bwd, axis=1)) / (4.0 * eps)
-    return log_p_prop - log_p_cur + correction
 
 
 def _pregenerate(

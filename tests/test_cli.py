@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from steinweights import harness
 from steinweights.cli import main
-from steinweights.harness import RECORD_COLUMNS, write_points
+from steinweights.harness import RECORD_COLUMNS, SCHEMES, write_points
 from steinweights.kernels import RbfKernel, median_heuristic_bandwidth
 from steinweights.stein import ksd_weighted, stein_gram
 from steinweights.targets import standard_normal_target
@@ -123,6 +124,59 @@ class TestWeightsCommand:
         assert len(out) == 6
 
 
+# A value other than the default for every scheme option in the table.
+OPTION_VALUES = {"lower_bound": -0.01, "solver": "frank_wolfe", "max_iters": 40,
+                 "tol": 1e-12, "lam": 1e-3, "bandwidth": 0.7}
+
+
+class TestWeightsMatchHarness:
+    TARGET = {"kind": "gmm_fixture", "seed": 3, "components": 4, "dimension": 2,
+              "mean_range": [-2.0, 2.0]}
+    PROPOSAL = {"kind": "gmm", "weights": [0.5, 0.5],
+                "means": [[-1.0, 0.0], [1.0, 0.5]], "variances": [1.5, 2.0]}
+
+    def test_every_option_has_a_value(self):
+        assert set(OPTION_VALUES) == {
+            name for scheme in SCHEMES.values() for name in scheme.options
+        }
+
+    @pytest.mark.parametrize("given", [False, True], ids=["defaults", "options"])
+    @pytest.mark.parametrize("kind", sorted(SCHEMES))
+    def test_cli_weights_equal_table_weights(self, tmp_path, kind, given):
+        spec = {"kind": kind}
+        if given:
+            spec.update({name: OPTION_VALUES[name] for name in SCHEMES[kind].options})
+        cfg = harness.ExperimentConfig.from_dict({
+            "seed": 1, "target": self.TARGET,
+            "sampler": {"kind": "iid", "proposal": self.PROPOSAL},
+            "n_grid": [30], "trials": 1, "schemes": [spec],
+            "test_functions": ["coordinate_mean"],
+        })
+        ctx = harness._build_context(cfg)
+        points = harness._sample_points(ctx, 30, np.random.SeedSequence(5))
+        [(_, entry, options)] = ctx.schemes
+        gram = stein_gram(ctx.target, RbfKernel(median_heuristic_bandwidth(points)), points)
+        expected, _ = entry.weights(
+            ctx.target, points, gram, ctx.proposal_log_density, entry.normalize, **options
+        )
+
+        points_path = tmp_path / "points.csv"
+        write_points(points_path, points)
+        argv = [
+            "weights", "--points", str(points_path), "--scheme", kind,
+            "--target", _write_json(tmp_path / "target.json", self.TARGET),
+            "--output", str(tmp_path / "w.csv"),
+        ]
+        if entry.needs_proposal:
+            argv += ["--proposal", _write_json(tmp_path / "q.json", self.PROPOSAL)]
+        for name in SCHEMES[kind].options if given else ():
+            argv.append(f"--{name.replace('_', '-')}={OPTION_VALUES[name]}")
+        assert main(argv) == 0
+        lines = (tmp_path / "w.csv").read_text().splitlines()[1:]
+        weights = np.array([float(line.split(",")[1]) for line in lines])
+        np.testing.assert_array_equal(weights, expected)
+
+
 class TestKsdCommand:
     def test_matches_library_value(self, tmp_path, capsys):
         points_path, pts = _points_file(tmp_path, n=15, d=2, seed=5)
@@ -203,6 +257,58 @@ class TestErrorPaths:
         assert code == 2
         assert "error: bandwidth must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scheme, flags",
+        [
+            ("uniform", ["--lam", "5"]),
+            ("uniform", ["--bandwidth", "1"]),
+            ("stein", ["--lam", "5"]),
+            ("kde", ["--max-iters", "10"]),
+            ("stein", ["--proposal", "q.json"]),
+        ],
+    )
+    def test_flag_the_scheme_does_not_take_exits_two(self, tmp_path, capsys,
+                                                     scheme, flags):
+        points_path, _ = _points_file(tmp_path, n=6)
+        target_path = _write_json(
+            tmp_path / "target.json", {"kind": "standard_normal", "dimension": 2}
+        )
+        code = main([
+            "weights", "--points", points_path, "--target", target_path,
+            "--scheme", scheme, *flags,
+        ])
+        assert code == 2
+        assert f"does not take {flags[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scheme, flags, message",
+        [
+            ("stein", ["--max-iters", "0"], "max_iters must be"),
+            ("control_functional", ["--lam", "-1"], "lam must be"),
+            ("kde", ["--bandwidth", "-1"], "bandwidth must be"),
+            ("stein", ["--lower-bound", "0.5"], "lower_bound 0.5 infeasible"),
+        ],
+    )
+    def test_option_out_of_range_exits_two(self, tmp_path, capsys, scheme, flags,
+                                           message):
+        points_path, _ = _points_file(tmp_path, n=6)
+        target_path = _write_json(
+            tmp_path / "target.json", {"kind": "standard_normal", "dimension": 2}
+        )
+        code = main([
+            "weights", "--points", points_path, "--target", target_path,
+            "--scheme", scheme, *flags,
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_unknown_solver_rejected_by_argparse(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["weights", "--points", "p.csv", "--target", "t.json",
+                  "--solver", "newton"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'newton'" in capsys.readouterr().err
+
     def test_ksd_zero_bandwidth_exits_two(self, tmp_path, capsys):
         points_path, _ = _points_file(tmp_path, n=6)
         target_path = _write_json(
@@ -251,3 +357,25 @@ class TestReadmeTargetKinds:
                 "--scheme", "stein", "--output", str(tmp_path / f"{kind}.csv"),
             ])
             assert code == 0, kind
+
+
+class TestReadmeSchemes:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_scheme_list_is_the_table(self):
+        section = self.README.read_text().split("`--scheme` accepts", 1)[1]
+        sentence = section.split(".", 1)[0]
+        assert re.findall(r"`(\w+)`", sentence) == list(SCHEMES)
+
+    def test_option_rows_are_the_table(self):
+        rows = re.findall(r"^\| `(\w+)` \| (\w+) \| (.+?) \|", self.README.read_text(),
+                          flags=re.MULTILINE)
+        documented = {name: (type_name, kinds) for name, type_name, kinds in rows}
+        declared = {}
+        for scheme in SCHEMES.values():
+            for name, option in scheme.options.items():
+                declared.setdefault(name, (option.type.__name__, []))[1].append(scheme.kind)
+        assert set(documented) == set(declared)
+        for name, (type_name, kinds) in declared.items():
+            assert documented[name][0] == type_name, name
+            assert re.findall(r"`(\w+)`", documented[name][1]) == kinds, name

@@ -115,6 +115,58 @@ class TestConfigValidation:
         ]
         assert small_config(schemes=schemes).schemes == tuple(schemes)
 
+    @pytest.mark.parametrize(
+        "scheme, n_grid, bad",
+        [
+            ({"kind": "stein", "max_iters": "2000"}, [20], "max_iters"),
+            ({"kind": "stein", "max_iters": 20.5}, [20], "max_iters"),
+            ({"kind": "stein", "max_iters": True}, [20], "max_iters"),
+            ({"kind": "stein", "solver": "newton"}, [20], "solver"),
+            ({"kind": "control_functional", "lam": "abc"}, [20], "lam"),
+            ({"kind": "kde_normalized", "bandwidth": -1.0}, [20], "bandwidth"),
+            ({"kind": "stein", "lower_bound": 0.5}, [50], "lower_bound"),
+        ],
+    )
+    def test_bad_scheme_value_rejected_before_sampling(
+        self, monkeypatch, scheme, n_grid, bad
+    ):
+        drawn = []
+        monkeypatch.setattr(harness, "_sample_points", lambda *args: drawn.append(args))
+        monkeypatch.delenv("STEINWEIGHTS_PARALLEL", raising=False)
+        data = small_config().to_dict()
+        data.update(schemes=[scheme], n_grid=n_grid)
+        with pytest.raises(ValueError, match=bad):
+            ExperimentConfig.from_dict(data)
+        with pytest.raises(ValueError, match=bad):
+            run_experiment(data)
+        assert drawn == []
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("record_timing", "false"),
+            ("record_timing", 0),
+            ("trials", 2.7),
+            ("trials", True),
+            ("seed", 1.5),
+            ("seed", "11"),
+            ("seed", False),
+            ("n_grid", [10.9]),
+            ("n_grid", [True, 20]),
+        ],
+    )
+    def test_top_level_value_not_coerced(self, key, value):
+        data = small_config().to_dict()
+        data[key] = value
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_dict(data)
+
+    def test_number_option_takes_an_int(self):
+        # JSON has one number type: 1 is as good a ridge as 1.0.
+        scheme = {"kind": "control_functional", "lam": 1}
+        assert harness.SCHEMES["control_functional"].options_of(scheme) == {"lam": 1.0}
+        assert small_config(schemes=[scheme]).schemes == (scheme,)
+
     def test_missing_required_key_named_in_error(self):
         data = small_config().to_dict()
         del data["seed"]

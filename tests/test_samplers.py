@@ -12,7 +12,6 @@ from steinweights.samplers import (
     ChainConfig,
     mala_chain_moments,
     mala_chains,
-    mala_log_acceptance,
     sample_gmm_iid,
     sgld_chains,
     tune_mala_step,
@@ -80,13 +79,18 @@ class TestMalaChains:
             mala_chains(target, small), mala_chains(target, big)[:3]
         )
 
-    def test_degenerate_proposal_accepts(self):
-        # At a mode the drift vanishes; with zero noise the proposal equals
-        # the current point and the acceptance probability is exactly one.
-        target = standard_normal_target(1)
-        current = np.zeros((1, 1))
-        log_alpha = mala_log_acceptance(target, current, current, 0.5)
-        assert log_alpha[0] == 0.0
+    def test_zero_step_size_stays_at_inits(self):
+        # With eps = 0 the proposal equals the current point, its acceptance
+        # ratio is exactly one, and every chain keeps its initial draw.
+        target = standard_normal_target(2)
+        moved = ChainConfig(n_chains=4, n_steps=15, step_size=0.0, seed=12)
+        still = ChainConfig(n_chains=4, n_steps=0, step_size=0.0, seed=12)
+        np.testing.assert_array_equal(mala_chains(target, moved), mala_chains(target, still))
+
+    def test_zero_step_size_accepts_every_proposal(self):
+        target = standard_normal_target(2)
+        out = mala_chain_moments(target, n_draws=200, burn_in=20, step_size=0.0, seed=3)
+        assert out["acceptance_rate"] == 1.0
 
     @pytest.mark.slow
     def test_long_run_equilibrium_variance(self):
