@@ -22,7 +22,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -127,11 +127,14 @@ class ExperimentConfig:
         for s in schemes:
             if s.get("kind") not in SCHEMES:
                 raise ValueError(f"unknown scheme kind {s.get('kind')!r}")
-            lb = SCHEMES[s["kind"]].options_of(s).get("lower_bound", 0.0)
+            options = SCHEMES[s["kind"]].options_of(s)
+            lb = options.get("lower_bound", 0.0)
             if max(n_grid) * lb > 1.0:
                 raise ValueError(
                     f"lower_bound {lb} infeasible for n = {max(n_grid)} (n * lb > 1)"
                 )
+            if lb != 0.0 and options.get("solver") == "mirror_descent":
+                raise ValueError(f"solver mirror_descent handles only lower_bound 0; got {lb}")
         if not _is_int(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be a positive integer; got {self.trials!r}")
         if not _is_int(self.seed) or self.seed < 0:
@@ -148,12 +151,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("target", "schemes", "n_grid", "trials", "test_functions", "seed"):
-            _require(data, key, "experiment config")
-        return cls(**{"sampler": {"kind": "iid"}, **data})
+        required = ("target", "schemes", "n_grid", "trials", "test_functions", "seed")
+        optional = {f.name: f.default for f in fields(cls) if f.name not in required}
+        optional["sampler"] = {"kind": "iid"}
+        return cls(**_spec_values(data, "experiment config", required, optional))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -225,79 +226,95 @@ class GroundTruth:
         )
 
 
-def _require(mapping: dict, key: str, what: str):
-    """Fetch a required key from a user-supplied spec dict.
+def _spec_values(spec: dict, what: str, required=(), optional=None) -> dict:
+    """A user-supplied spec with the defaults of its absent ``optional`` keys.
 
-    Raises ValueError instead of KeyError so callers (the CLI in
-    particular) report missing keys as configuration errors.
+    A missing ``required`` key or an undeclared key is a ValueError, which
+    callers (the CLI in particular) report as a configuration error.
     """
-    try:
-        return mapping[key]
-    except KeyError:
-        raise ValueError(f"{what} spec is missing required key {key!r}") from None
+    optional = optional or {}
+    for key in required:
+        if key not in spec:
+            raise ValueError(f"{what} spec is missing required key {key!r}")
+    unknown = set(spec) - {*required, *optional}
+    if unknown:
+        raise ValueError(
+            f"unknown key(s) {sorted(unknown)} in {what} spec; "
+            f"allowed: {sorted({*required, *optional})}"
+        )
+    return {**optional, **spec}
 
 
 def build_target_model(spec: dict):
     """Materialize a target spec dict into a mixture or probit model."""
     kind = spec.get("kind")
+    what = f"{kind} target"
     if kind == "standard_normal":
-        d = int(_require(spec, "dimension", "standard_normal target"))
+        d = int(_spec_values(spec, what, ("kind", "dimension"))["dimension"])
         return GaussianMixture(np.array([1.0]), np.zeros((1, d)), np.array([1.0]))
     if kind == "gmm":
+        v = _spec_values(spec, what, ("kind", "weights", "means", "variances"))
         return GaussianMixture(
-            weights=np.asarray(_require(spec, "weights", "gmm target"), dtype=float),
-            means=np.asarray(_require(spec, "means", "gmm target"), dtype=float),
-            variances=np.asarray(
-                _require(spec, "variances", "gmm target"), dtype=float
-            ),
+            weights=np.asarray(v["weights"], dtype=float),
+            means=np.asarray(v["means"], dtype=float),
+            variances=np.asarray(v["variances"], dtype=float),
         )
     if kind == "gmm_fixture":
+        v = _spec_values(spec, what, ("kind", "seed"), {
+            "components": 20, "dimension": 2,
+            "mean_range": (-5.0, 5.0), "variance_range": (0.3, 1.0),
+        })
         return random_gaussian_mixture(
-            n_components=int(spec.get("components", 20)),
-            dimension=int(spec.get("dimension", 2)),
-            seed=int(_require(spec, "seed", "gmm_fixture target")),
-            mean_range=tuple(spec.get("mean_range", (-5.0, 5.0))),
-            variance_range=tuple(spec.get("variance_range", (0.3, 1.0))),
+            n_components=int(v["components"]),
+            dimension=int(v["dimension"]),
+            seed=int(v["seed"]),
+            mean_range=tuple(v["mean_range"]),
+            variance_range=tuple(v["variance_range"]),
         )
     if kind == "probit":
-        return read_probit_dataset(
-            _require(spec, "dataset", "probit target"),
-            prior_variance=float(spec.get("prior_variance", 0.1)),
-        )
+        v = _spec_values(spec, what, ("kind", "dataset"), {"prior_variance": 0.1})
+        return read_probit_dataset(v["dataset"], prior_variance=float(v["prior_variance"]))
     if kind == "probit_simulated":
+        v = _spec_values(spec, what, ("kind", "n_data", "dimension", "seed"),
+                         {"prior_variance": 0.1, "dataset_out": None})
         model = probit_simulate(
-            n_data=int(_require(spec, "n_data", "probit_simulated target")),
-            dimension=int(_require(spec, "dimension", "probit_simulated target")),
-            seed=int(_require(spec, "seed", "probit_simulated target")),
-            prior_variance=float(spec.get("prior_variance", 0.1)),
+            n_data=int(v["n_data"]),
+            dimension=int(v["dimension"]),
+            seed=int(v["seed"]),
+            prior_variance=float(v["prior_variance"]),
         )
-        out = spec.get("dataset_out")
-        if out:
-            write_probit_dataset(out, model)
+        if v["dataset_out"]:
+            write_probit_dataset(v["dataset_out"], model)
         return model
-    raise ValueError(f"unknown target kind {spec.get('kind')!r}")
+    raise ValueError(f"unknown target kind {kind!r}")
 
 
-def _resolve_proposal(sampler: dict, model) -> GaussianMixture:
-    prop = sampler.get("proposal")
+def _resolve_proposal(prop: dict | None, model) -> GaussianMixture:
+    if prop is not None and prop.get("kind") != "interpolated":
+        built = build_target_model(prop)
+        if not isinstance(built, GaussianMixture):
+            raise UnsupportedConfigurationError("proposal must be a mixture")
+        return built
+    if not isinstance(model, GaussianMixture):
+        raise UnsupportedConfigurationError(
+            "iid sampling from the target or an interpolated proposal needs a mixture target"
+        )
     if prop is None:
-        if not isinstance(model, GaussianMixture):
-            raise UnsupportedConfigurationError(
-                "iid sampling needs a mixture target or an explicit proposal"
-            )
         return model
-    if prop.get("kind") == "interpolated":
-        if not isinstance(model, GaussianMixture):
-            raise UnsupportedConfigurationError(
-                "interpolated proposals require a mixture target"
-            )
-        return gaussianity_interpolation(
-            model, float(_require(prop, "lam", "interpolated proposal"))
-        )
-    built = build_target_model(prop)
-    if not isinstance(built, GaussianMixture):
-        raise UnsupportedConfigurationError("proposal must be a mixture")
-    return built
+    lam = _spec_values(prop, "interpolated proposal", ("kind", "lam"))["lam"]
+    return gaussianity_interpolation(model, float(lam))
+
+
+# The keys of each (section, kind) of a config besides "kind": the required
+# ones, and the optional ones with their defaults.
+_SPEC_KEYS = {
+    ("sampler", "iid"): ((), {"proposal": None}),
+    ("sampler", "mala"): (("step_size",), {"n_steps": 10, "init_scale": 1.0}),
+    ("sampler", "sgld"): (("step_size", "minibatch_size"), {"n_steps": 100, "init_scale": 1.0}),
+    ("ground_truth", "exact"): ((), {}),
+    ("ground_truth", "mala_oracle"): ((), {"draws": 1_000_000, "burn_in": 10_000, "seed": 0,
+                                           "step_size": None, "store_every": 10}),
+}
 
 
 def probit_ground_truth(
@@ -335,8 +352,13 @@ def probit_ground_truth(
 
 
 def _resolve_ground_truth(cfg: ExperimentConfig, model) -> GroundTruth:
-    spec = cfg.ground_truth
-    if spec is None or spec.get("kind") == "exact":
+    spec = {"kind": "exact"} if cfg.ground_truth is None else cfg.ground_truth
+    kind = spec.get("kind")
+    if ("ground_truth", kind) not in _SPEC_KEYS:
+        raise ValueError(f"unknown ground_truth kind {kind!r}")
+    required, optional = _SPEC_KEYS["ground_truth", kind]
+    v = _spec_values(spec, f"{kind} ground_truth", ("kind", *required), optional)
+    if kind == "exact":
         if not isinstance(model, GaussianMixture):
             raise UnsupportedConfigurationError(
                 "target has no closed-form moments; configure a ground_truth oracle"
@@ -347,18 +369,16 @@ def _resolve_ground_truth(cfg: ExperimentConfig, model) -> GroundTruth:
             second_moment=moments.second_moment,
             exact_cosine=moments.cosine_expectation,
         )
-    if spec.get("kind") == "mala_oracle":
-        if not isinstance(model, ProbitModel):
-            raise UnsupportedConfigurationError("mala_oracle expects a probit target")
-        return probit_ground_truth(
-            model,
-            draws=int(spec.get("draws", 1_000_000)),
-            burn_in=int(spec.get("burn_in", 10_000)),
-            seed=int(spec.get("seed", 0)),
-            step_size=spec.get("step_size"),
-            store_every=int(spec.get("store_every", 10)),
-        )
-    raise ValueError(f"unknown ground_truth kind {spec.get('kind')!r}")
+    if not isinstance(model, ProbitModel):
+        raise UnsupportedConfigurationError("mala_oracle expects a probit target")
+    return probit_ground_truth(
+        model,
+        draws=int(v["draws"]),
+        burn_in=int(v["burn_in"]),
+        seed=int(v["seed"]),
+        step_size=v["step_size"],
+        store_every=int(v["store_every"]),
+    )
 
 
 @dataclass
@@ -368,32 +388,30 @@ class _RunContext:
     target: ScoreTarget
     proposal: GaussianMixture | None
     proposal_log_density: Callable | None
+    sampler: str
+    chain: ChainConfig | None  # the chain samplers' config, but for n_chains and seed
     ground: GroundTruth
     schemes: list  # (label, Scheme, options) per configured scheme
 
 
 def _build_context(cfg: ExperimentConfig, ground: GroundTruth | None = None) -> _RunContext:
+    kind = cfg.sampler.get("kind", "iid")
+    if ("sampler", kind) not in _SPEC_KEYS:
+        raise ValueError(f"unknown sampler kind {kind!r}")
+    required, optional = _SPEC_KEYS["sampler", kind]
+    sampler = _spec_values(cfg.sampler, f"{kind} sampler", required, {"kind": kind, **optional})
     model = build_target_model(cfg.target)
     target = model.as_target()
-    sampler_kind = cfg.sampler.get("kind", "iid")
-    proposal = None
-    proposal_log_density = None
-    if sampler_kind == "iid":
-        proposal = _resolve_proposal(cfg.sampler, model)
+    proposal = proposal_log_density = chain = None
+    if kind == "iid":
+        proposal = _resolve_proposal(sampler["proposal"], model)
         proposal_log_density = proposal.log_density
-    elif sampler_kind == "mala":
-        if target.log_density is None:
-            raise UnsupportedConfigurationError("MALA sampling needs a log-density")
-        _require(cfg.sampler, "step_size", "mala sampler")
-    elif sampler_kind == "sgld":
-        if not hasattr(model, "data_score_minibatch"):
+    else:
+        if kind == "sgld" and not hasattr(model, "data_score_minibatch"):
             raise UnsupportedConfigurationError(
                 "SGLD sampling needs a target with a decomposable likelihood"
             )
-        _require(cfg.sampler, "step_size", "sgld sampler")
-        _require(cfg.sampler, "minibatch_size", "sgld sampler")
-    else:
-        raise ValueError(f"unknown sampler kind {sampler_kind!r}")
+        chain = ChainConfig(n_chains=1, **{key: sampler[key] for key in (*required, *optional)})
     schemes = []
     for spec in cfg.schemes:
         entry = SCHEMES[spec["kind"]]
@@ -402,40 +420,24 @@ def _build_context(cfg: ExperimentConfig, ground: GroundTruth | None = None) -> 
     if ground is None:
         ground = _resolve_ground_truth(cfg, model)
     return _RunContext(
-        cfg, model, target, proposal, proposal_log_density, ground, schemes
+        cfg, model, target, proposal, proposal_log_density, kind, chain, ground, schemes
     )
 
 
-def _chain_seed(seed_seq: np.random.SeedSequence) -> int:
-    return int(seed_seq.generate_state(1, np.uint64)[0])
-
-
 def _sample_points(ctx: _RunContext, n: int, seed_seq: np.random.SeedSequence) -> np.ndarray:
-    sampler = ctx.config.sampler
-    kind = sampler.get("kind", "iid")
-    if kind == "iid":
-        rng = np.random.default_rng(seed_seq)
-        return sample_gmm_iid(ctx.proposal, n, rng)
-    if kind == "mala":
-        config = ChainConfig(
-            n_chains=n,
-            n_steps=int(sampler.get("n_steps", 10)),
-            step_size=float(_require(sampler, "step_size", "mala sampler")),
-            init_scale=float(sampler.get("init_scale", 1.0)),
-            seed=_chain_seed(seed_seq),
-        )
+    if ctx.chain is None:
+        return sample_gmm_iid(ctx.proposal, n, np.random.default_rng(seed_seq))
+    config = replace(ctx.chain, n_chains=n, seed=int(seed_seq.generate_state(1, np.uint64)[0]))
+    if ctx.sampler == "mala":
         return mala_chains(ctx.target, config)
-    if kind == "sgld":
-        config = ChainConfig(
-            n_chains=n,
-            n_steps=int(sampler.get("n_steps", 100)),
-            step_size=float(_require(sampler, "step_size", "sgld sampler")),
-            init_scale=float(sampler.get("init_scale", 1.0)),
-            minibatch_size=int(_require(sampler, "minibatch_size", "sgld sampler")),
-            seed=_chain_seed(seed_seq),
-        )
-        return sgld_chains(ctx.model, config)
-    raise ValueError(f"unknown sampler kind {kind!r}")
+    return sgld_chains(ctx.model, config)
+
+
+def _record_ids(fn: str, dimension: int) -> list[str]:
+    """Record ids of one test function: one per coordinate, or one in all."""
+    if fn == "random_cosine":
+        return [fn]
+    return [f"{fn}.{i}" for i in range(dimension)]
 
 
 def evaluate_test_function(
@@ -454,16 +456,15 @@ def evaluate_test_function(
     w = np.asarray(weights, dtype=float)
     if kind == "coordinate_mean":
         vals = w @ pts
-        return [f"coordinate_mean.{i}" for i in range(pts.shape[1])], vals
-    if kind == "coordinate_square":
+    elif kind == "coordinate_square":
         vals = w @ (pts * pts)
-        return [f"coordinate_square.{i}" for i in range(pts.shape[1])], vals
-    if kind == "random_cosine":
+    elif kind == "random_cosine":
         if omega is None or offset is None:
             raise ValueError("random_cosine needs omega and offset")
-        val = float(w @ np.cos(pts @ omega + offset))
-        return ["random_cosine"], np.array([val])
-    raise ValueError(f"unknown test function {kind!r}")
+        vals = np.array([float(w @ np.cos(pts @ omega + offset))])
+    else:
+        raise ValueError(f"unknown test function {kind!r}")
+    return _record_ids(kind, pts.shape[1]), vals
 
 
 def _truth_values(ctx: _RunContext, kind: str, omega, offset) -> np.ndarray:
@@ -608,30 +609,23 @@ SCHEMES = {scheme.kind: scheme for scheme in (
 
 
 def _failed_records(ctx: _RunContext, n: int, trial: int, scheme_label: str) -> list:
-    records = []
-    d = ctx.target.dimension
     nan = float("nan")
-    for fn in ctx.config.test_functions:
-        if fn == "random_cosine":
-            ids = ["random_cosine"]
-        else:
-            ids = [f"{fn}.{i}" for i in range(d)]
-        for rid in ids:
-            records.append(
-                ExperimentRecord(
-                    scheme=scheme_label,
-                    n=n,
-                    trial=trial,
-                    test_fn=rid,
-                    estimate=nan,
-                    sq_error=nan,
-                    ksd=nan,
-                    iterations=0,
-                    wall_ms=0.0,
-                    status="failed",
-                )
-            )
-    return records
+    return [
+        ExperimentRecord(
+            scheme=scheme_label,
+            n=n,
+            trial=trial,
+            test_fn=rid,
+            estimate=nan,
+            sq_error=nan,
+            ksd=nan,
+            iterations=0,
+            wall_ms=0.0,
+            status="failed",
+        )
+        for fn in ctx.config.test_functions
+        for rid in _record_ids(fn, ctx.target.dimension)
+    ]
 
 
 def _trial_records(ctx: _RunContext, n: int, trial: int) -> list:

@@ -14,6 +14,8 @@ Per-chain draw order is part of the contract:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,22 +50,20 @@ class ChainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_chains < 1:
-            raise ValueError("n_chains must be at least 1")
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be nonnegative")
-        if not np.isfinite(self.step_size) or self.step_size < 0.0:
-            raise ValueError("step_size must be finite and nonnegative")
-        if not np.isfinite(self.init_scale) or self.init_scale < 0.0:
-            raise ValueError("init_scale must be finite and nonnegative")
-        if self.minibatch_size is not None and self.minibatch_size < 1:
-            raise ValueError("minibatch_size must be positive when given")
+        _check_number("n_chains", self.n_chains, numbers.Integral, 1)
+        _check_number("n_steps", self.n_steps, numbers.Integral, 0)
+        _check_number("step_size", self.step_size, numbers.Real, 0.0)
+        _check_number("init_scale", self.init_scale, numbers.Real, 0.0)
+        if self.minibatch_size is not None:
+            _check_number("minibatch_size", self.minibatch_size, numbers.Integral, 1)
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def _check_number(name: str, value, kind: type, minimum: float) -> None:
+    """ValueError unless ``value`` is a finite ``kind`` (not a bool) >= minimum."""
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not math.isfinite(value) or value < minimum):
+        noun = "an integer" if kind is numbers.Integral else "a finite number"
+        raise ValueError(f"{name} must be {noun} >= {minimum:g}; got {value!r}")
 
 
 def _chain_generator(seed: int, chain: int) -> np.random.Generator:
@@ -76,7 +76,7 @@ def sample_gmm_iid(mixture: GaussianMixture, n: int, seed) -> np.ndarray:
     """Draw n independent points from the mixture, shape (n, d)."""
     if n < 1:
         raise ValueError("n must be positive")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)  # a Generator is used as it is
     comp = rng.choice(mixture.n_components, size=n, p=mixture.weights)
     eps = rng.standard_normal((n, mixture.dimension))
     return mixture.means[comp] + np.sqrt(mixture.variances[comp])[:, None] * eps
@@ -104,6 +104,26 @@ def _pregenerate(
     return inits, noise, draws
 
 
+def _mala_proposal(target: ScoreTarget, x, log_p, score, eps: float, xi):
+    """One MALA proposal from each row of ``x``, (c, d), with normals ``xi``.
+
+    Returns the proposal x + eps * score + sqrt(2 eps) xi, its log-density
+    and score, and the log acceptance ratio of each row. The Metropolis
+    correction vanishes at ``eps = 0``, where the proposal is ``x`` itself.
+    """
+    proposal = x + eps * score + np.sqrt(2.0 * eps) * xi
+    log_p_prop = np.asarray(target.log_density(proposal), dtype=float)
+    score_prop = np.asarray(target.score(proposal), dtype=float)
+    log_alpha = log_p_prop - log_p
+    if eps > 0.0:
+        fwd = proposal - x - eps * score
+        bwd = x - proposal - eps * score_prop
+        # np.add.reduce is np.sum without its Python-level wrapper, whose
+        # cost the oracle's one-row batch would pay on every step.
+        log_alpha += np.add.reduce(fwd * fwd - bwd * bwd, axis=1) / (4.0 * eps)
+    return proposal, log_p_prop, score_prop, log_alpha
+
+
 def mala_chains(target: ScoreTarget, config: ChainConfig) -> np.ndarray:
     """Run parallel MALA chains; returns the final state of each, (n_chains, d).
 
@@ -115,24 +135,13 @@ def mala_chains(target: ScoreTarget, config: ChainConfig) -> np.ndarray:
     d = target.dimension
     inits, noise, uniforms = _pregenerate(config, d, lambda rng: rng.uniform())
     x = inits
-    if config.n_steps == 0:
-        return x
     eps = config.step_size
     log_p = np.asarray(target.log_density(x), dtype=float)
     score = np.asarray(target.score(x), dtype=float)
     for step in range(config.n_steps):
-        proposal = x + eps * score + np.sqrt(2.0 * eps) * noise[:, step]
-        log_p_prop = np.asarray(target.log_density(proposal), dtype=float)
-        score_prop = np.asarray(target.score(proposal), dtype=float)
-        fwd = proposal - x - eps * score
-        bwd = x - proposal - eps * score_prop
-        if eps > 0.0:
-            correction = (np.sum(fwd * fwd, axis=1) - np.sum(bwd * bwd, axis=1)) / (
-                4.0 * eps
-            )
-        else:
-            correction = np.zeros(x.shape[0])
-        log_alpha = log_p_prop - log_p + correction
+        proposal, log_p_prop, score_prop, log_alpha = _mala_proposal(
+            target, x, log_p, score, eps, noise[:, step]
+        )
         accept = np.log(uniforms[:, step]) < log_alpha
         x = np.where(accept[:, None], proposal, x)
         log_p = np.where(accept, log_p_prop, log_p)
@@ -208,29 +217,23 @@ def mala_chain_moments(
         raise ValueError("MALA needs a target log-density for the accept step")
     d = target.dimension
     rng = np.random.default_rng(seed)
-    x = np.zeros(d) if init is None else np.asarray(init, dtype=float).copy()
+    # The chain is a one-row batch, (1, d); it accepts with a scalar test.
+    x = np.zeros((1, d)) if init is None else np.array(init, dtype=float).reshape(1, d)
     eps = float(step_size)
-    root = np.sqrt(2.0 * eps)
-    log_p = float(target.log_density(x[None, :])[0])
-    score = np.asarray(target.score(x[None, :])[0], dtype=float)
-    sum_x = np.zeros(d)
-    sum_sq = np.zeros(d)
+    log_p = np.asarray(target.log_density(x), dtype=float)
+    score = np.asarray(target.score(x), dtype=float)
+    sum_x = np.zeros((1, d))
+    sum_sq = np.zeros((1, d))
     accepted = 0
     kept = 0
     thinned = []
     total = burn_in + n_draws
     for step in range(total):
         xi = rng.standard_normal(d)
-        proposal = x + eps * score + root * xi
-        log_p_prop = float(target.log_density(proposal[None, :])[0])
-        score_prop = np.asarray(target.score(proposal[None, :])[0], dtype=float)
-        fwd = proposal - x - eps * score
-        bwd = x - proposal - eps * score_prop
-        if eps > 0.0:
-            log_alpha = log_p_prop - log_p + (fwd @ fwd - bwd @ bwd) / (4.0 * eps)
-        else:
-            log_alpha = log_p_prop - log_p
-        if np.log(rng.uniform()) < log_alpha:
+        proposal, log_p_prop, score_prop, log_alpha = _mala_proposal(
+            target, x, log_p, score, eps, xi
+        )
+        if np.log(rng.uniform()) < log_alpha[0]:
             x = proposal
             log_p = log_p_prop
             score = score_prop
@@ -240,12 +243,12 @@ def mala_chain_moments(
             sum_x += x
             sum_sq += x * x
             if store_every and kept % store_every == 0:
-                thinned.append(x.copy())
+                thinned.append(x[0])
     return {
-        "mean": sum_x / max(kept, 1),
-        "second_moment": sum_sq / max(kept, 1),
+        "mean": sum_x[0] / max(kept, 1),
+        "second_moment": sum_sq[0] / max(kept, 1),
         "acceptance_rate": accepted / max(total, 1),
-        "final_state": x,
+        "final_state": x[0],
         "thinned": np.array(thinned) if thinned else np.empty((0, d)),
     }
 

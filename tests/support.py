@@ -10,6 +10,11 @@ cross-check the enumeration oracle.
 ``longdouble_stein_gram`` evaluates the Stein kernel pair by pair from its
 defining formula in extended precision, as an accuracy oracle for the
 package's float64 Gram.
+
+``frozen_mala_chain_moments`` is the single-chain MALA loop written out on a
+(d,) state, with its own proposal and Metropolis correction, and
+``reference_mala_chains`` replays parallel MALA chains one at a time with
+it. The package's samplers must match both bit for bit.
 """
 
 import itertools
@@ -161,3 +166,77 @@ def longdouble_stein_gram(points, scores, bandwidth):
         )
         out[i] = np.exp(-sq / h) * bracket
     return out
+
+
+def frozen_mala_chain_moments(
+    target, n_draws, burn_in, step_size, seed, init=None, store_every=10
+):
+    """One long MALA chain with streaming moments, on a (d,) state.
+
+    Per step: d proposal normals, then one acceptance uniform, both from
+    ``np.random.default_rng(seed)`` (a Generator is used as it is). Returns
+    the same dict as ``samplers.mala_chain_moments``.
+    """
+    d = target.dimension
+    rng = np.random.default_rng(seed)
+    x = np.zeros(d) if init is None else np.asarray(init, dtype=float).copy()
+    eps = float(step_size)
+    root = np.sqrt(2.0 * eps)
+    log_p = float(target.log_density(x[None, :])[0])
+    score = np.asarray(target.score(x[None, :])[0], dtype=float)
+    sum_x = np.zeros(d)
+    sum_sq = np.zeros(d)
+    accepted = 0
+    kept = 0
+    thinned = []
+    total = burn_in + n_draws
+    for step in range(total):
+        xi = rng.standard_normal(d)
+        proposal = x + eps * score + root * xi
+        log_p_prop = float(target.log_density(proposal[None, :])[0])
+        score_prop = np.asarray(target.score(proposal[None, :])[0], dtype=float)
+        fwd = proposal - x - eps * score
+        bwd = x - proposal - eps * score_prop
+        if eps > 0.0:
+            log_alpha = log_p_prop - log_p + (fwd @ fwd - bwd @ bwd) / (4.0 * eps)
+        else:
+            log_alpha = log_p_prop - log_p
+        if np.log(rng.uniform()) < log_alpha:
+            x = proposal
+            log_p = log_p_prop
+            score = score_prop
+            accepted += 1
+        if step >= burn_in:
+            kept += 1
+            sum_x += x
+            sum_sq += x * x
+            if store_every and kept % store_every == 0:
+                thinned.append(x.copy())
+    return {
+        "mean": sum_x / max(kept, 1),
+        "second_moment": sum_sq / max(kept, 1),
+        "acceptance_rate": accepted / max(total, 1),
+        "final_state": x,
+        "thinned": np.array(thinned) if thinned else np.empty((0, d)),
+    }
+
+
+def reference_mala_chains(target, config):
+    """Final states of ``config.n_chains`` MALA chains, run one at a time.
+
+    Chain c draws from SeedSequence(entropy=config.seed, spawn_key=(c,)):
+    its d-dimensional init scaled by ``config.init_scale``, then per step d
+    proposal normals and one acceptance uniform.
+    """
+    finals = []
+    for c in range(config.n_chains):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(c,))
+        )
+        init = config.init_scale * rng.standard_normal(target.dimension)
+        chain = frozen_mala_chain_moments(
+            target, n_draws=config.n_steps, burn_in=0, step_size=config.step_size,
+            seed=rng, init=init, store_every=0,
+        )
+        finals.append(chain["final_state"])
+    return np.array(finals)

@@ -1,7 +1,10 @@
 """Experiment driver: config validation, records, summaries, determinism."""
 
+import copy
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,19 @@ DIVERGING_SGLD = {
     "n_grid": [20],
     "trials": 1,
     "schemes": [{"kind": "uniform"}, {"kind": "stein"}],
+    "test_functions": ["coordinate_mean"],
+}
+
+
+# MALA points scored by a MALA oracle on a small probit target.
+PROBIT_MALA = {
+    "seed": 1,
+    "target": {"kind": "probit_simulated", "n_data": 20, "dimension": 2, "seed": 4},
+    "sampler": {"kind": "mala", "step_size": 0.05, "n_steps": 5},
+    "ground_truth": {"kind": "mala_oracle", "draws": 200, "burn_in": 20, "seed": 6},
+    "n_grid": [10],
+    "trials": 1,
+    "schemes": [{"kind": "uniform"}],
     "test_functions": ["coordinate_mean"],
 }
 
@@ -125,6 +141,8 @@ class TestConfigValidation:
             ({"kind": "control_functional", "lam": "abc"}, [20], "lam"),
             ({"kind": "kde_normalized", "bandwidth": -1.0}, [20], "bandwidth"),
             ({"kind": "stein", "lower_bound": 0.5}, [50], "lower_bound"),
+            ({"kind": "stein", "solver": "mirror_descent", "lower_bound": 0.01}, [20],
+             "mirror_descent"),
         ],
     )
     def test_bad_scheme_value_rejected_before_sampling(
@@ -167,11 +185,85 @@ class TestConfigValidation:
         assert harness.SCHEMES["control_functional"].options_of(scheme) == {"lam": 1.0}
         assert small_config(schemes=[scheme]).schemes == (scheme,)
 
+    @staticmethod
+    def run_refusing_draws(monkeypatch, data):
+        """Run ``data`` with point sampling and the probit oracle stubbed to fail."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw started before the config was checked")
+
+        monkeypatch.setattr(harness, "_sample_points", refuse)
+        monkeypatch.setattr(harness, "probit_ground_truth", refuse)
+        monkeypatch.delenv("STEINWEIGHTS_PARALLEL", raising=False)
+        run_experiment(data)
+
+    @pytest.mark.parametrize(
+        "base, section, extra, bad",
+        [
+            ("small", "target", {"dimensoin": 5}, "dimensoin"),
+            ("small", "ground_truth", {"draws": 5}, "draws"),
+            ("small", "sampler", {"n_steps": 5}, "n_steps"),
+            ("small", "sampler", {"proposal": {"kind": "interpolated", "lam": 0.4, "mix": 1}},
+             "mix"),
+            ("small", "sampler", {"proposal": {"kind": "standard_normal", "dimension": 2,
+                                               "scale": 2.0}}, "scale"),
+            ("probit", "target", {"prior_varaince": 0.5}, "prior_varaince"),
+            ("probit", "sampler", {"n_step": 500}, "n_step"),
+            ("probit", "sampler", {"minibatch_size": 10}, "minibatch_size"),
+            ("probit", "ground_truth", {"draw": 500}, "draw"),
+        ],
+    )
+    def test_unknown_spec_key_rejected_before_sampling(
+        self, monkeypatch, base, section, extra, bad
+    ):
+        # A typo must not leave the target, sampler or oracle on its defaults.
+        data = small_config().to_dict() if base == "small" else copy.deepcopy(PROBIT_MALA)
+        data[section] = {**data[section], **extra}
+        with pytest.raises(ValueError, match=bad):
+            self.run_refusing_draws(monkeypatch, data)
+
+    @pytest.mark.parametrize(
+        "sampler, bad",
+        [
+            ({"kind": "mala", "step_size": -0.01}, "step_size"),
+            ({"kind": "mala", "step_size": 0.05, "n_steps": "ten"}, "n_steps"),
+            ({"kind": "mala", "step_size": 0.05, "n_steps": 2.5}, "n_steps"),
+            ({"kind": "mala", "step_size": 0.05, "init_scale": True}, "init_scale"),
+            ({"kind": "mala"}, "step_size"),
+            ({"kind": "sgld", "step_size": 0.01, "minibatch_size": 0}, "minibatch_size"),
+            ({"kind": "sgld", "step_size": 0.01}, "minibatch_size"),
+            ({"kind": "hmc", "step_size": 0.01}, "hmc"),
+        ],
+    )
+    def test_bad_sampler_value_rejected_before_oracle(self, monkeypatch, sampler, bad):
+        with pytest.raises(ValueError, match=bad):
+            self.run_refusing_draws(monkeypatch, {**PROBIT_MALA, "sampler": sampler})
+
     def test_missing_required_key_named_in_error(self):
         data = small_config().to_dict()
         del data["seed"]
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig.from_dict(data)
+
+
+class TestReadmeSpecKeys:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_sampler_and_ground_truth_rows_are_the_tables(self):
+        rows = re.findall(r"^ *\| `(sampler|ground_truth)` \| `(\w+)` \|(.*)\|(.*)\|$",
+                          self.README.read_text(), flags=re.MULTILINE)
+        documented = {
+            (section, kind): (re.findall(r"`(\w+)`", required),
+                              re.findall(r"`(\w+)` \(([^)]*)\)", optional))
+            for section, kind, required, optional in rows
+        }
+        assert documented.keys() == harness._SPEC_KEYS.keys()
+        for row, (required, optional) in harness._SPEC_KEYS.items():
+            doc_required, doc_optional = documented[row]
+            assert doc_required == list(required), row
+            assert [name for name, _ in doc_optional] == list(optional), row
+            for name, default in doc_optional:
+                if optional[name] is not None:  # None reads "the target", "tuned"
+                    assert default == str(optional[name]), (row, name)
 
 
 class TestTestFunctions:

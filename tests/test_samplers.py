@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from support import frozen_mala_chain_moments, reference_mala_chains
 from steinweights.errors import NonFinitePointsError
 from steinweights.samplers import (
     ChainConfig,
@@ -101,6 +102,48 @@ class TestMalaChains:
         var = out["second_moment"][0] - out["mean"][0] ** 2
         assert abs(var - 1.0) < 0.05
         assert out["acceptance_rate"] > 0.2
+
+
+class TestMalaReference:
+    """The package's MALA chains against the loops in tests/support.py."""
+
+    PROBIT = probit_simulate(n_data=100, dimension=10, seed=42).as_target()
+    MIXTURE = random_gaussian_mixture(4, 3, seed=9).as_target()
+
+    @pytest.mark.parametrize(
+        "target, step_size, init",
+        [
+            (PROBIT, 0.01, None),  # accepts about 70% of proposals
+            (MIXTURE, 0.4, np.array([0.5, -1.0, 2.0])),
+            (PROBIT, 0.0, None),
+        ],
+        ids=["probit", "mixture", "zero_step"],
+    )
+    def test_oracle_matches_frozen_loop(self, target, step_size, init):
+        args = dict(n_draws=10_000, burn_in=1_000, step_size=step_size, seed=17,
+                    init=init, store_every=7)
+        got = mala_chain_moments(target, **args)
+        want = frozen_mala_chain_moments(target, **args)
+        assert got.keys() == want.keys()
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+        assert 0.0 < got["acceptance_rate"] < 1.0 or step_size == 0.0
+
+    @pytest.mark.parametrize(
+        "target, n_chains, step_size",
+        [
+            (MIXTURE, 6, 0.4),
+            # One chain: a probit row's log-density and score round
+            # differently in a batch of one than in a batch of six.
+            (PROBIT, 1, 0.01),
+            (MIXTURE, 6, 0.0),
+        ],
+        ids=["mixture", "probit", "zero_step"],
+    )
+    def test_chains_match_per_chain_reference(self, target, n_chains, step_size):
+        cfg = ChainConfig(n_chains=n_chains, n_steps=300, step_size=step_size,
+                          init_scale=1.5, seed=21)
+        np.testing.assert_array_equal(mala_chains(target, cfg), reference_mala_chains(target, cfg))
 
 
 class TestSgldChains:
