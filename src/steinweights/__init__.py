@@ -41,10 +41,6 @@ from .harness import (
 )
 from .kernels import (
     RbfKernel,
-    kernel_cross_trace,
-    kernel_eval,
-    kernel_grad_x,
-    kernel_grad_y,
     median_heuristic_bandwidth,
 )
 from .samplers import (
@@ -70,7 +66,6 @@ from .stein import (
     stein_gram,
     stein_identity_check,
     stein_kernel_block,
-    stein_kernel_eval,
 )
 from .targets import (
     GaussianMixture,

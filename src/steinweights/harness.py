@@ -315,6 +315,14 @@ _SPEC_KEYS = {
     ("ground_truth", "mala_oracle"): ((), {"draws": 1_000_000, "burn_in": 10_000, "seed": 0,
                                            "step_size": None, "store_every": 10}),
 }
+# (type, minimum, above the minimum) of the mala_oracle's numeric keys.
+_ORACLE_RANGES = {
+    "draws": (int, 1, False),
+    "burn_in": (int, 0, False),
+    "store_every": (int, 0, False),
+    "seed": (int, 0, False),
+    "step_size": (float, 0.0, True),
+}
 
 
 def probit_ground_truth(
@@ -369,16 +377,19 @@ def _resolve_ground_truth(cfg: ExperimentConfig, model) -> GroundTruth:
             second_moment=moments.second_moment,
             exact_cosine=moments.cosine_expectation,
         )
+    oracle = {
+        name: SchemeOption(number, optional[name], minimum, above).parse(name, v[name])
+        for name, (number, minimum, above) in _ORACLE_RANGES.items()
+    }
+    kept = oracle["draws"] // oracle["store_every"] if oracle["store_every"] else 0
+    if "random_cosine" in cfg.test_functions and not kept:
+        raise ValueError(
+            "random_cosine is scored on thinned oracle draws; store_every "
+            f"{oracle['store_every']} keeps none of {oracle['draws']} draws"
+        )
     if not isinstance(model, ProbitModel):
         raise UnsupportedConfigurationError("mala_oracle expects a probit target")
-    return probit_ground_truth(
-        model,
-        draws=int(v["draws"]),
-        burn_in=int(v["burn_in"]),
-        seed=int(v["seed"]),
-        step_size=v["step_size"],
-        store_every=int(v["store_every"]),
-    )
+    return probit_ground_truth(model, **oracle)
 
 
 @dataclass
@@ -412,6 +423,10 @@ def _build_context(cfg: ExperimentConfig, ground: GroundTruth | None = None) -> 
                 "SGLD sampling needs a target with a decomposable likelihood"
             )
         chain = ChainConfig(n_chains=1, **{key: sampler[key] for key in (*required, *optional)})
+        if kind == "sgld" and chain.minibatch_size > model.n_data:
+            raise ValueError(
+                f"minibatch_size {chain.minibatch_size} exceeds data size {model.n_data}"
+            )
     schemes = []
     for spec in cfg.schemes:
         entry = SCHEMES[spec["kind"]]

@@ -1,4 +1,4 @@
-"""Radial basis function kernel with analytic derivatives.
+"""Radial basis function kernel: its spec, its pairwise tiles, its bandwidth.
 
 The kernel is parameterized as
 
@@ -10,11 +10,11 @@ The squared-distance form is used throughout because the data-driven
 bandwidth below is the median of pairwise squared distances and plugs into
 ``h`` without conversion.
 
-Derivatives used by the score-weighted kernel construction:
-
-    grad_x k(x, y)            = -(2 / h) (x - y) k(x, y)
-    grad_y k(x, y)            = +(2 / h) (x - y) k(x, y)
-    sum_i d^2 k / dx_i dy_i   = (2 d / h - 4 ||x - y||^2 / h^2) k(x, y)
+Pairwise values of k are computed one upper-triangle tile at a time, each
+tile's exponent one GEMM of augmented rows of the centered points; the
+Stein Gram and the KDE leave-one-out density are built this way. The
+derivatives of k that the score-weighted kernel needs are written out with
+its bracket in :func:`steinweights.stein._stein_factors`.
 """
 
 from __future__ import annotations
@@ -28,12 +28,7 @@ from .errors import DegenerateBandwidthError
 
 __all__ = [
     "RbfKernel",
-    "kernel_eval",
-    "kernel_grad_x",
-    "kernel_grad_y",
-    "kernel_cross_trace",
     "median_heuristic_bandwidth",
-    "pairwise_sq_dists",
 ]
 
 
@@ -51,58 +46,6 @@ class RbfKernel:
         h = self.bandwidth
         if not np.isfinite(h) or h <= 0.0:
             raise ValueError(f"bandwidth must be positive and finite, got {h}")
-
-
-def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.ndim != 1:
-        raise ValueError(f"expected 1-d points, got shapes {x.shape} and {y.shape}")
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("points must be finite")
-    return x, y
-
-
-def kernel_eval(kernel: RbfKernel, x: np.ndarray, y: np.ndarray) -> float:
-    """Evaluate k(x, y) for a single pair of points."""
-    x, y = _check_pair(x, y)
-    sq = float(np.dot(x - y, x - y))
-    return float(np.exp(-sq / kernel.bandwidth))
-
-
-def kernel_grad_x(kernel: RbfKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of k with respect to the first argument, shape (d,)."""
-    x, y = _check_pair(x, y)
-    diff = x - y
-    k = np.exp(-float(np.dot(diff, diff)) / kernel.bandwidth)
-    return (-2.0 / kernel.bandwidth) * diff * k
-
-
-def kernel_grad_y(kernel: RbfKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of k with respect to the second argument, shape (d,).
-
-    Antisymmetric to :func:`kernel_grad_x`: grad_y k(x, y) = -grad_x k(x, y).
-    """
-    x, y = _check_pair(x, y)
-    diff = x - y
-    k = np.exp(-float(np.dot(diff, diff)) / kernel.bandwidth)
-    return (2.0 / kernel.bandwidth) * diff * k
-
-
-def kernel_cross_trace(kernel: RbfKernel, x: np.ndarray, y: np.ndarray) -> float:
-    """Trace of the mixed second derivative matrix d^2 k / dx dy.
-
-    For the RBF kernel this is (2 d / h - 4 ||x - y||^2 / h^2) k(x, y); at
-    x = y it reduces to 2 d / h.
-    """
-    x, y = _check_pair(x, y)
-    h = kernel.bandwidth
-    d = x.shape[0]
-    sq = float(np.dot(x - y, x - y))
-    k = np.exp(-sq / h)
-    return float((2.0 * d / h - 4.0 * sq / (h * h)) * k)
 
 
 # Rows per square tile of a pairwise (n, n) kernel assembled tile by tile:
@@ -156,22 +99,6 @@ def _exponent_tile(a: np.ndarray, b: np.ndarray, diagonal: bool) -> np.ndarray:
     if diagonal:
         np.fill_diagonal(exponent, 0.0)
     return exponent
-
-
-def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
-    """Full (n, n) matrix of squared Euclidean distances, clamped at zero.
-
-    One GEMM of the augmented rows of :func:`_sq_dist_factors` on the
-    centered points, the product every pairwise kernel of the package
-    computes one upper-triangle tile at a time; the diagonal is exactly
-    zero.
-    """
-    points = np.asarray(points, dtype=float)
-    a, b = _sq_dist_factors(points - points.mean(axis=0), 1.0)
-    sq = _exponent_tile(a, b, diagonal=True)
-    # 0 - t rather than -t, so that zero distances are +0.0.
-    np.subtract(0.0, sq, out=sq)
-    return sq
 
 
 def median_heuristic_bandwidth(points: np.ndarray) -> float:

@@ -21,15 +21,13 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import GramIntegrityError, ScoreEvaluationError
-from .kernels import RbfKernel, _exponent_tile, _sq_dist_factors, _upper_tiles
+from .kernels import _TILE_ROWS, RbfKernel, _exponent_tile, _sq_dist_factors, _upper_tiles
 
 __all__ = [
     "ExactMoments",
     "ScoreTarget",
     "SteinGram",
     "stein_kernel_block",
-    "stein_kernel_eval",
-    "stein_kernel_vector",
     "stein_gram",
     "ksd_weighted",
     "stein_identity_check",
@@ -43,6 +41,10 @@ __all__ = [
 _SYMMETRY_RTOL = 1e-12
 _PSD_RTOL = 1e-8
 _KSD_CLAMP_RTOL = 1e-10
+
+# Strictly lower triangle of a diagonal tile; its leading (m, m) corner is
+# that of a smaller tile.
+_STRICT_LOWER = np.tri(_TILE_ROWS, k=-1, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -220,8 +222,14 @@ def _stein_factors(
     """Augmented rows (A, B, P, Q) of centered points and their scores.
 
     A_i'B_j = -||x_i - x_j||^2 / h is the exponent of k (see
-    :func:`~steinweights.kernels._sq_dist_factors`), and P_i'Q_j is the
-    bracket of k_p = k * bracket,
+    :func:`~steinweights.kernels._sq_dist_factors`). The derivatives of k
+    in k_p are
+
+        grad_x k(x, y)            = -(2 / h) (x - y) k(x, y)
+        grad_y k(x, y)            = +(2 / h) (x - y) k(x, y)
+        sum_i d^2 k / dx_i dy_i   = (2 d / h - 4 ||x - y||^2 / h^2) k(x, y)
+
+    so k_p = k * bracket, and P_i'Q_j is the bracket
 
         s_i's_j + (2/h)(s_i - s_j)'(x_i - x_j) + 2d/h - 4||x_i - x_j||^2/h^2,
 
@@ -284,32 +292,6 @@ def stein_kernel_block(
     return _stein_tile(a, b, p, q, diagonal=Y is X)
 
 
-def stein_kernel_eval(
-    target: ScoreTarget, kernel: RbfKernel, x: np.ndarray, y: np.ndarray
-) -> float:
-    """Evaluate the score-weighted kernel k_p(x, y) for one pair of points."""
-    xs = np.asarray(x, dtype=float)[None, :]
-    ys = np.asarray(y, dtype=float)[None, :]
-    block = stein_kernel_block(xs, ys, target.score_at(xs), target.score_at(ys), kernel)
-    return float(block[0, 0])
-
-
-def _as_point_rows(points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    return pts[:, None] if pts.ndim == 1 else pts
-
-
-def stein_kernel_vector(
-    target: ScoreTarget, kernel: RbfKernel, points: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """Evaluate k_p(x_i, y) for every row x_i of ``points``, shape (n,)."""
-    pts = _as_point_rows(points)
-    ys = np.asarray(y, dtype=float)[None, :]
-    return stein_kernel_block(
-        pts, ys, target.score_at(pts), target.score_at(ys), kernel
-    )[:, 0]
-
-
 def stein_gram(target: ScoreTarget, kernel: RbfKernel, points: np.ndarray) -> SteinGram:
     """Assemble the full score-weighted Gram matrix on a point set.
 
@@ -320,11 +302,14 @@ def stein_gram(target: ScoreTarget, kernel: RbfKernel, points: np.ndarray) -> St
     one (n, n) output. So each pair is computed once, the scratch space is
     a few tiles, and the result is exactly symmetric; :class:`SteinGram`
     skips its symmetry comparison. Apart from the output, the only (n, n)
-    buffer is the copy its PSD check factors. Entries agree with
-    :func:`stein_kernel_eval` applied pairwise, and do not move beyond
-    rounding when the points and the target are shifted together.
+    buffer is the copy its PSD check factors. Entry (i, j) is
+    :func:`stein_kernel_block` of rows i and j up to rounding, and does not
+    move beyond rounding when the points and the target are shifted
+    together.
     """
-    pts = _as_point_rows(points)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError(f"expected a non-empty (n, d) point array, got {pts.shape}")
     scores = target.score_at(pts)
@@ -333,12 +318,12 @@ def stein_gram(target: ScoreTarget, kernel: RbfKernel, points: np.ndarray) -> St
     out = np.empty((n, n))
     for rows, cols in _upper_tiles(n):
         tile = _stein_tile(a[rows], b[cols], p[rows], q[cols], diagonal=rows == cols)
+        out[rows, cols] = tile
         if rows == cols:
-            # Keep the upper triangle and mirror it into the lower one.
-            lower = np.tri(len(tile), k=-1, dtype=bool)
-            out[rows, rows] = np.where(lower, tile.T, tile)
+            # Mirror the tile's upper triangle into its lower one.
+            m = len(tile)
+            np.copyto(out[rows, rows], tile.T, where=_STRICT_LOWER[:m, :m])
         else:
-            out[rows, cols] = tile
             out[cols, rows] = tile.T
     return SteinGram(matrix=out, kernel=kernel, _mirrored=True)
 

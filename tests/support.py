@@ -81,25 +81,22 @@ def grid_qp_optimum(mat, lower_bound=0.0, resolution=1e-3):
 
     hi = 1.0 - (n - 1) * lower_bound
     grid = np.arange(lower_bound, hi + resolution / 2, resolution)
-    best_w = None
-    best_obj = np.inf
     if n == 2:
-        for w1 in grid:
-            w = np.array([w1, 1.0 - w1])
-            if w[1] < lower_bound - 1e-12:
-                continue
-            obj = objective(w)
-            if obj < best_obj:
-                best_obj, best_w = obj, w
+        cands = np.column_stack([grid, 1.0 - grid])
     else:
-        for w1 in grid:
-            for w2 in np.arange(lower_bound, 1.0 - w1 - lower_bound + resolution / 2, resolution):
-                w = np.array([w1, w2, 1.0 - w1 - w2])
-                if w[2] < lower_bound - 1e-12:
-                    continue
-                obj = objective(w)
-                if obj < best_obj:
-                    best_obj, best_w = obj, w
+        inner = [
+            np.arange(lower_bound, 1.0 - w1 - lower_bound + resolution / 2, resolution)
+            for w1 in grid
+        ]
+        w1 = np.repeat(grid, [len(w2) for w2 in inner])
+        w2 = np.concatenate(inner)
+        cands = np.column_stack([w1, w2, 1.0 - w1 - w2])
+    cands = cands[cands[:, -1] >= lower_bound - 1e-12]
+    # Batched, w @ mat @ w rounds as it does one w at a time, and argmin
+    # keeps the first strict minimum in grid order, as a loop over it would.
+    objs = ((cands @ mat)[:, None, :] @ cands[:, :, None])[:, 0, 0]
+    best_w = cands[np.argmin(objs)]
+    best_obj = objective(best_w)
 
     # Local refinement: shrink a coordinate-pair pattern search until the
     # step is far below the requested resolution.

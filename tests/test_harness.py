@@ -232,11 +232,43 @@ class TestConfigValidation:
             ({"kind": "sgld", "step_size": 0.01, "minibatch_size": 0}, "minibatch_size"),
             ({"kind": "sgld", "step_size": 0.01}, "minibatch_size"),
             ({"kind": "hmc", "step_size": 0.01}, "hmc"),
+            ({"kind": "sgld", "step_size": 0.01, "minibatch_size": 21},
+             "minibatch_size 21 exceeds data size 20"),
         ],
     )
     def test_bad_sampler_value_rejected_before_oracle(self, monkeypatch, sampler, bad):
         with pytest.raises(ValueError, match=bad):
             self.run_refusing_draws(monkeypatch, {**PROBIT_MALA, "sampler": sampler})
+
+    @pytest.mark.parametrize(
+        "oracle, test_functions, bad",
+        [
+            ({"draws": 0}, ["coordinate_mean"], "draws"),
+            ({"draws": "200"}, ["coordinate_mean"], "draws"),
+            ({"burn_in": -5}, ["coordinate_mean"], "burn_in"),
+            ({"burn_in": 2.5}, ["coordinate_mean"], "burn_in"),
+            ({"store_every": -1}, ["coordinate_mean"], "store_every"),
+            ({"step_size": 0.0}, ["coordinate_mean"], "step_size"),
+            ({"step_size": math.inf}, ["coordinate_mean"], "step_size"),
+            ({"store_every": 0}, ["coordinate_mean", "random_cosine"], "store_every"),
+            ({"store_every": 201}, ["random_cosine"], "store_every"),
+            ({"seed": 1.5}, ["coordinate_mean"], "seed"),
+        ],
+    )
+    def test_bad_oracle_value_rejected_before_oracle(
+        self, monkeypatch, oracle, test_functions, bad
+    ):
+        # PROBIT_MALA's oracle takes 200 draws.
+        data = {**PROBIT_MALA, "ground_truth": {**PROBIT_MALA["ground_truth"], **oracle},
+                "test_functions": test_functions}
+        with pytest.raises(ValueError, match=bad):
+            self.run_refusing_draws(monkeypatch, data)
+
+    def test_oracle_keeping_one_draw_for_random_cosine_runs(self, monkeypatch):
+        data = {**PROBIT_MALA, "test_functions": ["random_cosine"],
+                "ground_truth": {**PROBIT_MALA["ground_truth"], "store_every": 200}}
+        with pytest.raises(AssertionError, match="a draw started"):
+            self.run_refusing_draws(monkeypatch, data)
 
     def test_missing_required_key_named_in_error(self):
         data = small_config().to_dict()

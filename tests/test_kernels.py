@@ -1,4 +1,5 @@
-"""Base RBF kernel: closed-form values, derivative identities, bandwidth rule."""
+"""Base RBF kernel: closed-form values and derivatives as the pairwise tiles
+and the Stein kernel compute them, and the bandwidth rule."""
 
 import math
 
@@ -9,29 +10,53 @@ from scipy.spatial.distance import pdist
 from steinweights.errors import DegenerateBandwidthError
 from steinweights.kernels import (
     RbfKernel,
-    kernel_cross_trace,
-    kernel_eval,
-    kernel_grad_x,
-    kernel_grad_y,
+    _exponent_tile,
+    _sq_dist_factors,
     median_heuristic_bandwidth,
-    pairwise_sq_dists,
 )
+from steinweights.stein import stein_kernel_block
 from support import central_difference
+
+
+def self_tile_exponent(points, bandwidth=1.0):
+    """-||x_i - x_j||^2 / h over one point set from the augmented rows of the
+    centered points, the one GEMM each tile of a pairwise kernel makes."""
+    points = np.asarray(points, dtype=float)
+    a, b = _sq_dist_factors(points - points.mean(axis=0), bandwidth)
+    return _exponent_tile(a, b, diagonal=True)
+
+
+def rbf_derivatives(spec, x, y):
+    """grad_x k, grad_y k and tr grad_x grad_y k at one pair, read off the
+    Stein kernel, which is affine in each score:
+
+        k_p = s_x's_y k + s_x'grad_y k + s_y'grad_x k + tr grad_x grad_y k.
+
+    One block holds x and y each with the scores 0, e_1, ..., e_d.
+    """
+    d = len(x)
+    scores = np.vstack([np.zeros(d), np.eye(d)])
+    block = stein_kernel_block(
+        np.tile(x, (d + 1, 1)), np.tile(y, (d + 1, 1)), scores, scores, spec
+    )
+    trace = block[0, 0]
+    return block[0, 1:] - trace, block[1:, 0] - trace, trace
+
+
+def rbf(spec, x, y):
+    return math.exp(-float(np.sum((x - y) ** 2)) / spec.bandwidth)
 
 
 class TestKernelEval:
     def test_coincident_points(self):
-        spec = RbfKernel(1.0)
-        assert kernel_eval(spec, np.zeros(2), np.zeros(2)) == 1.0
+        assert np.exp(self_tile_exponent(np.zeros((2, 2))))[0, 1] == 1.0
 
     def test_unit_separation(self):
-        spec = RbfKernel(1.0)
-        val = kernel_eval(spec, np.array([0.0]), np.array([1.0]))
+        val = np.exp(self_tile_exponent([[0.0], [1.0]]))[0, 1]
         assert val == pytest.approx(math.exp(-1.0), abs=1e-15)
 
     def test_bandwidth_scales_exponent(self):
-        spec = RbfKernel(4.0)
-        val = kernel_eval(spec, np.array([0.0, 0.0]), np.array([2.0, 0.0]))
+        val = np.exp(self_tile_exponent([[0.0, 0.0], [2.0, 0.0]], 4.0))[0, 1]
         assert val == pytest.approx(math.exp(-1.0), abs=1e-15)
 
     def test_rejects_nonpositive_bandwidth(self):
@@ -41,35 +66,37 @@ class TestKernelEval:
             RbfKernel(-1.0)
 
     def test_rejects_mismatched_dimensions(self):
-        spec = RbfKernel(1.0)
         with pytest.raises(ValueError):
-            kernel_eval(spec, np.zeros(2), np.zeros(3))
+            stein_kernel_block(
+                np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 2)), np.zeros((1, 3)),
+                RbfKernel(1.0),
+            )
 
 
 class TestKernelGradients:
     def test_grad_x_vanishes_at_coincidence(self):
         spec = RbfKernel(1.0)
         x = np.array([0.3, -1.2])
-        np.testing.assert_array_equal(kernel_grad_x(spec, x, x), np.zeros(2))
+        np.testing.assert_array_equal(rbf_derivatives(spec, x, x)[0], np.zeros(2))
 
     def test_grad_x_one_dim_value(self):
         spec = RbfKernel(1.0)
-        grad = kernel_grad_x(spec, np.array([1.0]), np.array([0.0]))
+        grad = rbf_derivatives(spec, np.array([1.0]), np.array([0.0]))[0]
         np.testing.assert_allclose(grad, [-2.0 * math.exp(-1.0)], atol=1e-15)
 
     def test_grad_x_two_dim_value(self):
         spec = RbfKernel(2.0)
-        grad = kernel_grad_x(spec, np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+        grad = rbf_derivatives(spec, np.array([0.0, 1.0]), np.array([0.0, 0.0]))[0]
         np.testing.assert_allclose(grad, [0.0, -math.exp(-0.5)], atol=1e-15)
 
     def test_grad_y_vanishes_at_coincidence(self):
         spec = RbfKernel(1.0)
         x = np.array([2.0])
-        np.testing.assert_array_equal(kernel_grad_y(spec, x, x), np.zeros(1))
+        np.testing.assert_array_equal(rbf_derivatives(spec, x, x)[1], np.zeros(1))
 
     def test_grad_y_one_dim_value(self):
         spec = RbfKernel(1.0)
-        grad = kernel_grad_y(spec, np.array([1.0]), np.array([0.0]))
+        grad = rbf_derivatives(spec, np.array([1.0]), np.array([0.0]))[1]
         np.testing.assert_allclose(grad, [2.0 * math.exp(-1.0)], atol=1e-15)
 
     def test_grad_y_is_negated_grad_x(self):
@@ -80,9 +107,8 @@ class TestKernelGradients:
             spec = RbfKernel(float(rng.uniform(0.5, 4.0)))
             x = rng.standard_normal(d)
             y = rng.standard_normal(d)
-            np.testing.assert_allclose(
-                kernel_grad_y(spec, x, y), -kernel_grad_x(spec, x, y), atol=1e-15
-            )
+            grad_x, grad_y, _ = rbf_derivatives(spec, x, y)
+            np.testing.assert_allclose(grad_y, -grad_x, atol=1e-15)
 
     def test_grad_x_matches_finite_differences(self):
         for seed in range(30):
@@ -91,24 +117,24 @@ class TestKernelGradients:
             spec = RbfKernel(float(rng.uniform(0.5, 3.0)))
             x = rng.standard_normal(d)
             y = rng.standard_normal(d)
-            fd = central_difference(lambda z: kernel_eval(spec, z, y), x)
-            np.testing.assert_allclose(kernel_grad_x(spec, x, y), fd, atol=1e-7)
+            fd = central_difference(lambda z: rbf(spec, z, y), x)
+            np.testing.assert_allclose(rbf_derivatives(spec, x, y)[0], fd, atol=1e-7)
 
 
 class TestCrossTrace:
     def test_coincident_one_dim(self):
         spec = RbfKernel(1.0)
         x = np.array([0.7])
-        assert kernel_cross_trace(spec, x, x) == pytest.approx(2.0, abs=1e-15)
+        assert rbf_derivatives(spec, x, x)[2] == pytest.approx(2.0, abs=1e-15)
 
     def test_coincident_three_dim(self):
         spec = RbfKernel(2.0)
         x = np.array([1.0, -1.0, 0.5])
-        assert kernel_cross_trace(spec, x, x) == pytest.approx(3.0, abs=1e-15)
+        assert rbf_derivatives(spec, x, x)[2] == pytest.approx(3.0, abs=1e-15)
 
     def test_separated_one_dim(self):
         spec = RbfKernel(1.0)
-        val = kernel_cross_trace(spec, np.array([1.0]), np.array([0.0]))
+        val = rbf_derivatives(spec, np.array([1.0]), np.array([0.0]))[2]
         assert val == pytest.approx(-2.0 * math.exp(-1.0), abs=1e-15)
 
     def test_matches_nested_finite_differences(self):
@@ -125,19 +151,19 @@ class TestCrossTrace:
                 e = np.zeros(d)
                 e[i] = eps
                 trace += (
-                    kernel_eval(spec, x + e, y + e)
-                    - kernel_eval(spec, x + e, y - e)
-                    - kernel_eval(spec, x - e, y + e)
-                    + kernel_eval(spec, x - e, y - e)
+                    rbf(spec, x + e, y + e)
+                    - rbf(spec, x + e, y - e)
+                    - rbf(spec, x - e, y + e)
+                    + rbf(spec, x - e, y - e)
                 ) / (4.0 * eps * eps)
-            assert kernel_cross_trace(spec, x, y) == pytest.approx(trace, abs=1e-5)
+            assert rbf_derivatives(spec, x, y)[2] == pytest.approx(trace, abs=1e-5)
 
 
 class TestPairwiseSqDists:
     def test_matches_direct_loop(self):
         rng = np.random.default_rng(7)
         pts = rng.standard_normal((12, 3))
-        dists = pairwise_sq_dists(pts)
+        dists = -self_tile_exponent(pts)
         for i in range(12):
             for j in range(12):
                 expect = float(np.sum((pts[i] - pts[j]) ** 2))
@@ -146,7 +172,7 @@ class TestPairwiseSqDists:
     def test_diagonal_is_exactly_zero(self):
         rng = np.random.default_rng(8)
         pts = rng.standard_normal((30, 5)) * 100.0
-        assert np.all(np.diag(pairwise_sq_dists(pts)) == 0.0)
+        assert np.all(np.diag(self_tile_exponent(pts)) == 0.0)
 
 
 class TestMedianHeuristic:

@@ -5,26 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from steinweights.errors import GramIntegrityError, ScoreEvaluationError
-from steinweights.kernels import (
-    RbfKernel,
-    kernel_cross_trace,
-    kernel_eval,
-    kernel_grad_x,
-    kernel_grad_y,
-    median_heuristic_bandwidth,
-    pairwise_sq_dists,
-)
+from steinweights.kernels import RbfKernel, _upper_tiles, median_heuristic_bandwidth
 from steinweights.stein import (
     ScoreTarget,
     SteinGram,
+    _stein_factors,
+    _stein_tile,
     ksd_weighted,
     stein_gram,
     stein_identity_check,
     stein_kernel_block,
-    stein_kernel_eval,
-    stein_kernel_vector,
 )
 from steinweights.targets import (
     GaussianMixture,
@@ -43,35 +36,42 @@ def gaussian_target():
     return standard_normal_target(1)
 
 
+def block_of(target, spec, x, y):
+    """:func:`stein_kernel_block` of the point rows x and y, with the
+    target's scores."""
+    return stein_kernel_block(x, y, target.score_at(x), target.score_at(y), spec)
+
+
 class TestSteinKernelEval:
     def test_origin_pair_reduces_to_trace_term(self):
         # Score vanishes at 0, both gradients vanish at coincident points,
         # leaving 2d/h = 2.
-        val = stein_kernel_eval(gaussian_target(), RbfKernel(1.0), np.zeros(1), np.zeros(1))
+        origin = np.zeros((1, 1))
+        val = block_of(gaussian_target(), RbfKernel(1.0), origin, np.zeros((1, 1)))[0, 0]
         assert val == pytest.approx(2.0, abs=1e-15)
 
     def test_separated_pair_value(self):
         # Term by term: (-1)(0)e^-1 + (-1)(2e^-1) + 0(-2e^-1) + (2-4)e^-1.
-        val = stein_kernel_eval(
-            gaussian_target(), RbfKernel(1.0), np.array([1.0]), np.array([0.0])
-        )
+        x, y = np.array([[1.0]]), np.array([[0.0]])
+        val = block_of(gaussian_target(), RbfKernel(1.0), x, y)[0, 0]
         assert val == pytest.approx(-4.0 * math.exp(-1.0), abs=1e-15)
 
     def test_zero_score_point_reduces_to_cross_trace(self):
+        # At a zero score only tr grad_x grad_y k(x, x) = 2d/h is left.
         spec = RbfKernel(1.5)
-        x = np.zeros(3)
-        val = stein_kernel_eval(standard_normal_target(3), spec, x, x)
-        assert val == pytest.approx(kernel_cross_trace(spec, x, x), abs=1e-15)
+        origin = np.zeros((1, 3))
+        val = block_of(standard_normal_target(3), spec, origin, np.zeros((1, 3)))[0, 0]
+        assert val == pytest.approx(2.0 * 3 / 1.5, abs=1e-15)
 
     def test_symmetric_in_arguments(self):
         target = standard_normal_target(2)
         spec = RbfKernel(2.0)
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            x = rng.standard_normal(2)
-            y = rng.standard_normal(2)
-            a = stein_kernel_eval(target, spec, x, y)
-            b = stein_kernel_eval(target, spec, y, x)
+            x = rng.standard_normal((1, 2))
+            y = rng.standard_normal((1, 2))
+            a = block_of(target, spec, x, y)[0, 0]
+            b = block_of(target, spec, y, x)[0, 0]
             assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -86,9 +86,10 @@ class TestSteinGram:
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((6, 3))
         gram = stein_gram(target, spec, pts)
+        pairwise = longdouble_stein_gram(pts, target.score_at(pts), spec.bandwidth)
         for i in range(6):
             for j in range(6):
-                expect = stein_kernel_eval(target, spec, pts[i], pts[j])
+                expect = pairwise[i, j]
                 assert gram.matrix[i, j] == pytest.approx(expect, rel=1e-10, abs=1e-12)
 
     def test_symmetry_on_random_sets(self):
@@ -138,7 +139,7 @@ def unblocked_stein_matrix(target, kernel, pts):
     scores = target.score_at(pts)
     h = kernel.bandwidth
     n, d = pts.shape
-    sq = pairwise_sq_dists(pts)
+    sq = cdist(pts, pts, "sqeuclidean")
     k = np.exp(np.multiply(sq, -1.0 / h))
     bracket = sq
     bracket *= -4.0 / (h * h)
@@ -171,7 +172,7 @@ def mixture_points(n, seed, d=2, shift=0.0):
 
 class TestBlockedSymmetricAdd:
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
-    def test_bit_identical_to_whole_matrix_add(self, n):
+    def test_within_bound_of_whole_matrix_add(self, n):
         # The tiled assembly forms each tile from two products of centered,
         # augmented rows, so it rounds differently from the whole-matrix
         # reference; it agrees within the bound of the accuracy test.
@@ -181,19 +182,6 @@ class TestBlockedSymmetricAdd:
         expect = unblocked_stein_matrix(target, kernel, pts)
         bound = GRAM_ACCURACY_EPS * np.finfo(float).eps * np.max(np.abs(expect))
         assert np.max(np.abs(gram.matrix - expect)) <= bound
-
-    def test_peak_memory_at_most_three_point_three_buffers(self):
-        # Distances, kernel values, cross terms, and one row block of
-        # scratch; the whole-matrix add held a fourth (n, n) buffer.
-        n = 800
-        target, pts = mixture_points(n, seed=11)
-        tracemalloc.start()
-        try:
-            stein_gram(target, RbfKernel(2.0), pts)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.3 * 8 * n * n
 
 
 class TestGramAccuracy:
@@ -226,34 +214,25 @@ class TestSteinKernelBlock:
         rng = np.random.default_rng(21)
         x = rng.standard_normal((7, 3))
         y = rng.standard_normal((5, 3)) * 1.5
-        block = stein_kernel_block(
-            x, y, target.score_at(x), target.score_at(y), spec
-        )
-        return target, spec, x, y, block
+        return target, spec, x, y, block_of(target, spec, x, y)
 
     def test_matches_pair_eval_on_rectangular_block(self):
         target, spec, x, y, block = self.rectangular_block()
         assert block.shape == (7, 5)
         for i in range(7):
             for j in range(5):
-                assert block[i, j] == pytest.approx(
-                    stein_kernel_eval(target, spec, x[i], y[j]), rel=1e-12, abs=1e-14
-                )
+                pair = block_of(target, spec, x[i : i + 1], y[j : j + 1])
+                assert block[i, j] == pytest.approx(pair[0, 0], rel=1e-12, abs=1e-14)
 
     def test_matches_base_kernel_derivatives(self):
-        # k_p = s_x's_y k + s_x'grad_y k + s_y'grad_x k + trace, assembled
-        # from the single-pair RBF functions.
+        # k_p = s_x's_y k + s_x'grad_y k + s_y'grad_x k + trace, with the
+        # RBF derivatives written out in extended precision.
         target, spec, x, y, block = self.rectangular_block()
+        pts = np.concatenate([x, y])
+        expect = longdouble_stein_gram(pts, target.score_at(pts), spec.bandwidth)[:7, 7:]
         for i in range(7):
             for j in range(5):
-                sx, sy = target.score_at(x[i]), target.score_at(y[j])
-                expect = (
-                    float(sx @ sy) * kernel_eval(spec, x[i], y[j])
-                    + float(sx @ kernel_grad_y(spec, x[i], y[j]))
-                    + float(sy @ kernel_grad_x(spec, x[i], y[j]))
-                    + kernel_cross_trace(spec, x[i], y[j])
-                )
-                assert block[i, j] == pytest.approx(expect, rel=1e-12, abs=1e-14)
+                assert block[i, j] == pytest.approx(expect[i, j], rel=1e-12, abs=1e-14)
 
 
 class TestTiledGram:
@@ -262,6 +241,26 @@ class TestTiledGram:
         target, pts = mixture_points(n, seed=n + 1)
         mat = stein_gram(target, RbfKernel(1.1), pts).matrix
         np.testing.assert_array_equal(mat, mat.T)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+    def test_diagonal_tiles_equal_where_mirror(self, n):
+        # Each diagonal tile keeps its upper triangle and mirrors it, as
+        # np.where(lower, tile.T, tile) does.
+        target, pts = mixture_points(n, seed=n + 1)
+        kernel = RbfKernel(1.1)
+        a, b, p, q = _stein_factors(
+            pts - pts.mean(axis=0), target.score_at(pts), kernel.bandwidth
+        )
+        expect = np.empty((n, n))
+        for rows, cols in _upper_tiles(n):
+            tile = _stein_tile(a[rows], b[cols], p[rows], q[cols], diagonal=rows == cols)
+            if rows == cols:
+                lower = np.tri(len(tile), k=-1, dtype=bool)
+                expect[rows, rows] = np.where(lower, tile.T, tile)
+            else:
+                expect[rows, cols] = tile
+                expect[cols, rows] = tile.T
+        np.testing.assert_array_equal(stein_gram(target, kernel, pts).matrix, expect)
 
     def test_peak_memory_is_gram_and_cholesky_copy(self):
         # The output and the copy the PSD check factors, plus a few tiles.
@@ -278,16 +277,17 @@ class TestTiledGram:
 
 class TestSteinKernelVector:
     def test_matches_scalar_evals(self):
+        # k_p(x_i, y) for every row, the (n, 1) block the identity check
+        # integrates.
         target = standard_normal_target(2)
         spec = RbfKernel(1.3)
         rng = np.random.default_rng(11)
         pts = rng.standard_normal((8, 2))
-        y = rng.standard_normal(2)
-        vec = stein_kernel_vector(target, spec, pts, y)
+        y = rng.standard_normal((1, 2))
+        vec = block_of(target, spec, pts, y)[:, 0]
         for i in range(8):
-            assert vec[i] == pytest.approx(
-                stein_kernel_eval(target, spec, pts[i], y), rel=1e-12
-            )
+            pair = block_of(target, spec, pts[i : i + 1], y)
+            assert vec[i] == pytest.approx(pair[0, 0], rel=1e-12)
 
 
 class TestKsdWeighted:
