@@ -59,7 +59,6 @@ from .simplex_qp import (
     solve_mirror_descent,
 )
 from .stein import (
-    ExactMoments,
     ScoreTarget,
     SteinGram,
     ksd_weighted,

@@ -133,8 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "bandwidth":
             help_text += "; also the Stein-kernel bandwidth of schemes with a Gram"
         w_p.add_argument(
-            "--" + name.replace("_", "-"), type=option.type, default=None,
-            choices=option.choices or None, help=help_text,
+            "--" + name.replace("_", "-"), type=option.type, default=None, help=help_text,
         )
     w_p.add_argument("--proposal", default=None, help="JSON proposal spec for exact_is")
     w_p.add_argument("--output", default=None, help="weight CSV path (default stdout)")

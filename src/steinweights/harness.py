@@ -23,7 +23,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -47,6 +46,7 @@ from .samplers import (
 from .stein import ScoreTarget, ksd_weighted, stein_gram
 from .targets import (
     GaussianMixture,
+    GroundTruth,
     ProbitModel,
     gaussianity_interpolation,
     probit_simulate,
@@ -133,8 +133,6 @@ class ExperimentConfig:
                 raise ValueError(
                     f"lower_bound {lb} infeasible for n = {max(n_grid)} (n * lb > 1)"
                 )
-            if lb != 0.0 and options.get("solver") == "mirror_descent":
-                raise ValueError(f"solver mirror_descent handles only lower_bound 0; got {lb}")
         if not _is_int(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be a positive integer; got {self.trials!r}")
         if not _is_int(self.seed) or self.seed < 0:
@@ -199,31 +197,6 @@ class RateFit:
     stderr: float
     n_points: int
     excluded: int
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Moment oracle used to score estimates.
-
-    Either closed-form (``exact_cosine`` set) or backed by thinned draws
-    from a long-chain run.
-    """
-
-    mean: np.ndarray
-    second_moment: np.ndarray
-    thinned: np.ndarray | None = None
-    exact_cosine: Callable[[np.ndarray, float], float] | None = field(
-        default=None, compare=False
-    )
-
-    def cosine(self, omega: np.ndarray, offset: float) -> float:
-        if self.exact_cosine is not None:
-            return float(self.exact_cosine(omega, offset))
-        if self.thinned is not None and len(self.thinned):
-            return float(np.mean(np.cos(self.thinned @ omega + offset)))
-        raise UnsupportedConfigurationError(
-            "ground truth has no cosine oracle; drop random_cosine or store draws"
-        )
 
 
 def _spec_values(spec: dict, what: str, required=(), optional=None) -> dict:
@@ -371,12 +344,7 @@ def _resolve_ground_truth(cfg: ExperimentConfig, model) -> GroundTruth:
             raise UnsupportedConfigurationError(
                 "target has no closed-form moments; configure a ground_truth oracle"
             )
-        moments = model.moments()
-        return GroundTruth(
-            mean=moments.mean,
-            second_moment=moments.second_moment,
-            exact_cosine=moments.cosine_expectation,
-        )
+        return model.moments()
     oracle = {
         name: SchemeOption(number, optional[name], minimum, above).parse(name, v[name])
         for name, (number, minimum, above) in _ORACLE_RANGES.items()
@@ -405,7 +373,7 @@ class _RunContext:
     schemes: list  # (label, Scheme, options) per configured scheme
 
 
-def _build_context(cfg: ExperimentConfig, ground: GroundTruth | None = None) -> _RunContext:
+def _build_context(cfg: ExperimentConfig) -> _RunContext:
     kind = cfg.sampler.get("kind", "iid")
     if ("sampler", kind) not in _SPEC_KEYS:
         raise ValueError(f"unknown sampler kind {kind!r}")
@@ -432,8 +400,7 @@ def _build_context(cfg: ExperimentConfig, ground: GroundTruth | None = None) -> 
         entry = SCHEMES[spec["kind"]]
         entry.check_inputs(target, proposal_log_density)
         schemes.append((spec.get("label", entry.kind), entry, entry.options_of(spec)))
-    if ground is None:
-        ground = _resolve_ground_truth(cfg, model)
+    ground = _resolve_ground_truth(cfg, model)
     return _RunContext(
         cfg, model, target, proposal, proposal_log_density, kind, chain, ground, schemes
     )
@@ -501,21 +468,18 @@ class SchemeOption:
     """A scheme option's type, range and default.
 
     A number is finite and at least ``minimum`` (above it if ``above``);
-    ``bool`` is no number, and an ``int`` option takes no fraction. A
-    ``str`` is one of ``choices``. ``None`` stands for ``default``.
+    ``bool`` is no number, and an ``int`` option takes no fraction.
+    ``None`` stands for ``default``.
     """
 
     type: type
     default: object = None
     minimum: float | None = None
     above: bool = False
-    choices: tuple = ()
     help: str = ""
 
     @property
     def range(self) -> str:
-        if self.choices:
-            return "one of " + ", ".join(self.choices)
         if self.minimum is None:
             return "finite"
         return f"finite and {'>' if self.above else '>='} {self.minimum:g}"
@@ -523,15 +487,12 @@ class SchemeOption:
     def parse(self, name: str, value):
         if value is None:
             return self.default
-        if self.choices:
-            ok = value in self.choices
-        else:
-            ok = _is_int(value) or (self.type is float and isinstance(value, float))
-            if ok:
-                value = self.type(value)
-                ok = math.isfinite(value) and (
-                    self.minimum is None or value > self.minimum
-                    or (value == self.minimum and not self.above))
+        ok = _is_int(value) or (self.type is float and isinstance(value, float))
+        if ok:
+            value = self.type(value)
+            ok = math.isfinite(value) and (
+                self.minimum is None or value > self.minimum
+                or (value == self.minimum and not self.above))
         if not ok:
             raise ValueError(f"{name} must be {self.type.__name__}, {self.range}; got {value!r}")
         return value
@@ -587,9 +548,9 @@ def _exact_is(target, points, gram, log_q, normalize):
     return baselines.weights_exact_is(target, log_q, points), 0
 
 
-def _stein(target, points, gram, log_q, normalize, lower_bound, solver, max_iters, tol):
+def _stein(target, points, gram, log_q, normalize, lower_bound, max_iters, tol):
     problem = simplex_qp.QpProblem(gram=gram, lower_bound=lower_bound)
-    solution = simplex_qp.solve(problem, method=solver, max_iters=max_iters, tol=tol)
+    solution = simplex_qp.solve(problem, max_iters=max_iters, tol=tol)
     return solution.weights, solution.iterations
 
 
@@ -610,8 +571,6 @@ SCHEMES = {scheme.kind: scheme for scheme in (
     Scheme("uniform", _uniform),
     Scheme("stein", _stein, needs_gram=True, options={
         "lower_bound": SchemeOption(float, 0.0, help="lower bound of every weight"),
-        "solver": SchemeOption(str, "auto", choices=("auto", "mirror_descent", "frank_wolfe"),
-                               help="simplex QP method"),
         "max_iters": SchemeOption(int, minimum=1, help="solver iteration cap"),
         "tol": SchemeOption(float, minimum=0.0, help="solver stopping tolerance"),
     }),
@@ -713,41 +672,31 @@ def _trial_records(ctx: _RunContext, n: int, trial: int) -> list:
     return records
 
 
-@lru_cache(maxsize=4)
-def _cached_context(cfg_json: str) -> _RunContext:
-    import json
-
-    data = json.loads(cfg_json)
-    ground_payload = data.pop("_ground_payload", None)
-    cfg = ExperimentConfig.from_dict(data)
-    ground = None
-    if ground_payload is not None:
-        ground = GroundTruth(
-            mean=np.asarray(ground_payload["mean"]),
-            second_moment=np.asarray(ground_payload["second_moment"]),
-            thinned=None
-            if ground_payload["thinned"] is None
-            else np.asarray(ground_payload["thinned"]),
-        )
-    return _build_context(cfg, ground=ground)
+# The run context of a pool worker process, set once by the pool's
+# initializer; the parent process never sets it.
+_worker_context: _RunContext | None = None
 
 
-def _worker_trial(args) -> list:
-    cfg_json, n, trial = args
-    ctx = _cached_context(cfg_json)
-    return _trial_records(ctx, n, trial)
+def _init_worker(ctx: _RunContext) -> None:
+    global _worker_context
+    _worker_context = ctx
+
+
+def _worker_trial(job) -> list:
+    return _trial_records(_worker_context, *job)
 
 
 def _parallel_degree() -> int:
     raw = os.environ.get(PARALLEL_ENV_VAR, "").strip()
     if not raw:
         return 1
-    degree = int(raw)
+    try:
+        degree = int(raw)
+    except ValueError:
+        degree = -1
     if degree < 0:
-        raise ValueError(f"{PARALLEL_ENV_VAR} must be a nonnegative integer")
-    if degree == 0:
-        return os.cpu_count() or 1
-    return degree
+        raise ValueError(f"{PARALLEL_ENV_VAR} must be a nonnegative integer; got {raw!r}")
+    return degree or os.cpu_count() or 1
 
 
 @dataclass
@@ -775,30 +724,16 @@ def run_experiment(config) -> ExperimentResult:
     Output is identical regardless of the degree.
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
+    degree = _parallel_degree()
     ctx = _build_context(cfg)
     jobs = [(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
-    degree = _parallel_degree()
     if degree > 1 and len(jobs) > 1:
-        import json
-
-        payload = cfg.to_dict()
-        # The parent already wrote any simulated dataset; workers must not
-        # rewrite it.
-        payload["target"].pop("dataset_out", None)
-        if cfg.ground_truth is not None and cfg.ground_truth.get("kind") == "mala_oracle":
-            payload["_ground_payload"] = {
-                "mean": ctx.ground.mean.tolist(),
-                "second_moment": ctx.ground.second_moment.tolist(),
-                "thinned": None
-                if ctx.ground.thinned is None
-                else ctx.ground.thinned.tolist(),
-            }
-        cfg_json = json.dumps(payload, sort_keys=True)
-        args = [(cfg_json, n, t) for n, t in jobs]
         # Spawned workers sidestep the fork-under-BLAS-threads deadlock.
+        # Each receives the parent's context once and builds nothing.
         mp_ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=degree, mp_context=mp_ctx) as pool:
-            chunks = list(pool.map(_worker_trial, args, chunksize=8))
+        with ProcessPoolExecutor(max_workers=degree, mp_context=mp_ctx,
+                                 initializer=_init_worker, initargs=(ctx,)) as pool:
+            chunks = list(pool.map(_worker_trial, jobs, chunksize=8))
         records = [rec for chunk in chunks for rec in chunk]
     else:
         records = [rec for n, t in jobs for rec in _trial_records(ctx, n, t)]
@@ -893,35 +828,20 @@ def write_records_csv(path, records) -> None:
     Floats are rendered with shortest round-trip repr, so two runs of the
     same config produce byte-identical files.
     """
-    ordered = sorted(records, key=_record_sort_key)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        for rec in ordered:
-            writer.writerow(
-                [
-                    rec.scheme,
-                    rec.n,
-                    rec.trial,
-                    rec.test_fn,
-                    _fmt(rec.estimate),
-                    _fmt(rec.sq_error),
-                    _fmt(rec.ksd),
-                    rec.iterations,
-                    _fmt(rec.wall_ms),
-                    rec.status,
-                ]
-            )
+    _write_rows(path, RECORD_COLUMNS, sorted(records, key=_record_sort_key))
 
 
 def write_summary_csv(path, summary) -> None:
+    columns = [f.name for f in fields(SummaryRow)]
+    _write_rows(path, columns, sorted(summary, key=lambda r: (r.scheme, r.test_fn, r.n)))
+
+
+def _write_rows(path, columns, rows) -> None:
+    """A header of ``columns``, then each row's attributes of those names."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scheme", "test_fn", "n", "mse", "trials_ok", "trials_failed"])
-        for row in sorted(summary, key=lambda r: (r.scheme, r.test_fn, r.n)):
-            writer.writerow(
-                [row.scheme, row.test_fn, row.n, _fmt(row.mse), row.trials_ok, row.trials_failed]
-            )
+        writer.writerow(columns)
+        writer.writerows([_fmt(getattr(row, c)) for c in columns] for row in rows)
 
 
 def write_points(path, points: np.ndarray) -> None:

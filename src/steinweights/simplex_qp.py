@@ -342,20 +342,12 @@ def solve_frank_wolfe(
 
 def solve(
     problem: QpProblem,
-    method: str = "auto",
     max_iters: int | None = None,
     tol: float | None = None,
 ) -> QpSolution:
-    """Dispatch to a solver.
-
-    ``auto`` picks mirror descent on the plain simplex and Frank-Wolfe as
-    soon as the lower bound departs from zero.
-    """
-    if method == "auto":
-        method = "mirror_descent" if problem.lower_bound == 0.0 else "frank_wolfe"
-    if method == "mirror_descent":
+    """Mirror descent on the plain simplex, and Frank-Wolfe as soon as the
+    lower bound departs from zero."""
+    if problem.lower_bound == 0.0:
         kwargs = {} if tol is None else {"tol": tol}
         return solve_mirror_descent(problem, max_iters=max_iters, **kwargs)
-    if method == "frank_wolfe":
-        return solve_frank_wolfe(problem, max_iters=max_iters, tol=tol)
-    raise ValueError(f"unknown method {method!r}")
+    return solve_frank_wolfe(problem, max_iters=max_iters, tol=tol)

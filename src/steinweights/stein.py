@@ -24,7 +24,6 @@ from .errors import GramIntegrityError, ScoreEvaluationError
 from .kernels import _TILE_ROWS, RbfKernel, _exponent_tile, _sq_dist_factors, _upper_tiles
 
 __all__ = [
-    "ExactMoments",
     "ScoreTarget",
     "SteinGram",
     "stein_kernel_block",
@@ -48,21 +47,6 @@ _STRICT_LOWER = np.tri(_TILE_ROWS, k=-1, dtype=bool)
 
 
 @dataclass(frozen=True)
-class ExactMoments:
-    """Closed-form moments of a target, used as experiment ground truth.
-
-    Attributes:
-        mean: (d,) first moment.
-        second_moment: (d,) per-coordinate raw second moment E[x_i^2].
-        cosine_expectation: optional callable (omega, b) -> E[cos(omega' x + b)].
-    """
-
-    mean: np.ndarray
-    second_moment: np.ndarray
-    cosine_expectation: Callable[[np.ndarray, float], float] | None = None
-
-
-@dataclass(frozen=True)
 class ScoreTarget:
     """A target distribution seen only through its score.
 
@@ -76,14 +60,12 @@ class ScoreTarget:
         score: batched score callable.
         log_density: optional batched log-density callable.
         density_normalized: whether ``log_density`` is normalized.
-        exact_moments: optional closed-form moment oracle.
     """
 
     dimension: int
     score: Callable[[np.ndarray], np.ndarray]
     log_density: Callable[[np.ndarray], np.ndarray] | None = None
     density_normalized: bool = False
-    exact_moments: ExactMoments | None = None
 
     def _as_batch(self, points: np.ndarray) -> tuple[np.ndarray, bool]:
         pts = np.asarray(points, dtype=float)

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr
 
-from .stein import ExactMoments, ScoreTarget
+from .errors import UnsupportedConfigurationError
+from .stein import ScoreTarget
 
 __all__ = [
+    "GroundTruth",
     "GaussianMixture",
     "ProbitModel",
     "standard_normal_target",
@@ -51,6 +54,38 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out[bad, 0] = np.log(np.exp(a[bad]).sum(axis=1))
     return out
+
+
+@dataclass(frozen=True)
+class GroundTruth:
+    """Moment oracle used to score estimates.
+
+    Either closed-form (``exact_cosine`` set, as from
+    :meth:`GaussianMixture.moments`) or backed by thinned draws from a
+    long-chain run.
+
+    Attributes:
+        mean: (d,) first moment.
+        second_moment: (d,) per-coordinate raw second moment E[x_i^2].
+        thinned: optional (m, d) draws from the target.
+        exact_cosine: optional callable (omega, b) -> E[cos(omega' x + b)].
+    """
+
+    mean: np.ndarray
+    second_moment: np.ndarray
+    thinned: np.ndarray | None = None
+    exact_cosine: Callable[[np.ndarray, float], float] | None = field(
+        default=None, compare=False
+    )
+
+    def cosine(self, omega: np.ndarray, offset: float) -> float:
+        if self.exact_cosine is not None:
+            return float(self.exact_cosine(omega, offset))
+        if self.thinned is not None and len(self.thinned):
+            return float(np.mean(np.cos(self.thinned @ omega + offset)))
+        raise UnsupportedConfigurationError(
+            "ground truth has no cosine oracle; drop random_cosine or store draws"
+        )
 
 
 @dataclass(frozen=True)
@@ -120,17 +155,17 @@ class GaussianMixture:
         pull = (self.means[None, :, :] - pts[:, None, :]) / self.variances[None, :, None]
         return np.einsum("nj,njd->nd", resp, pull)
 
-    def moments(self) -> ExactMoments:
+    def cosine_expectation(self, omega: np.ndarray, offset: float) -> float:
+        """E[cos(omega' x + offset)], from each component's characteristic function."""
+        omega = np.asarray(omega, dtype=float)
+        damp = np.exp(-0.5 * self.variances * float(omega @ omega))
+        return float(np.sum(self.weights * damp * np.cos(self.means @ omega + offset)))
+
+    def moments(self) -> GroundTruth:
+        """Closed-form mean, second moment and cosine expectation."""
         mean = self.weights @ self.means
         second = self.weights @ (self.means**2 + self.variances[:, None])
-        w, mu, var = self.weights, self.means, self.variances
-
-        def cosine_expectation(omega: np.ndarray, offset: float) -> float:
-            omega = np.asarray(omega, dtype=float)
-            damp = np.exp(-0.5 * var * float(omega @ omega))
-            return float(np.sum(w * damp * np.cos(mu @ omega + offset)))
-
-        return ExactMoments(mean, second, cosine_expectation)
+        return GroundTruth(mean, second, exact_cosine=self.cosine_expectation)
 
     def as_target(self) -> ScoreTarget:
         return ScoreTarget(
@@ -138,7 +173,6 @@ class GaussianMixture:
             score=self.score,
             log_density=self.log_density,
             density_normalized=True,
-            exact_moments=self.moments(),
         )
 
 

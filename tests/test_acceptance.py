@@ -121,8 +121,8 @@ def test_criterion_03_solvers_match_brute_force_oracle():
             )
             grid_checked += 1
         problem = simplex_qp.QpProblem(gram=mat)
-        for method in ("mirror_descent", "frank_wolfe"):
-            sol = simplex_qp.solve(problem, method=method, max_iters=20_000, tol=1e-16)
+        for solver in (simplex_qp.solve_mirror_descent, simplex_qp.solve_frank_wolfe):
+            sol = solver(problem, max_iters=20_000, tol=1e-16)
             scale = max(1.0, abs(oracle_obj))
             worst_gap = max(worst_gap, (sol.objective - oracle_obj) / scale)
             worst_feas = max(

@@ -125,8 +125,8 @@ class TestWeightsCommand:
 
 
 # A value other than the default for every scheme option in the table.
-OPTION_VALUES = {"lower_bound": -0.01, "solver": "frank_wolfe", "max_iters": 40,
-                 "tol": 1e-12, "lam": 1e-3, "bandwidth": 0.7}
+OPTION_VALUES = {"lower_bound": -0.01, "max_iters": 40, "tol": 1e-12, "lam": 1e-3,
+                 "bandwidth": 0.7}
 
 
 class TestWeightsMatchHarness:
@@ -301,13 +301,6 @@ class TestErrorPaths:
         ])
         assert code == 2
         assert message in capsys.readouterr().err
-
-    def test_unknown_solver_rejected_by_argparse(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["weights", "--points", "p.csv", "--target", "t.json",
-                  "--solver", "newton"])
-        assert exit_info.value.code == 2
-        assert "invalid choice: 'newton'" in capsys.readouterr().err
 
     def test_ksd_zero_bandwidth_exits_two(self, tmp_path, capsys):
         points_path, _ = _points_file(tmp_path, n=6)

@@ -3,6 +3,7 @@
 import copy
 import math
 import os
+import pickle
 import re
 from pathlib import Path
 
@@ -111,7 +112,7 @@ class TestConfigValidation:
             {"kind": "exact_is", "lam": 1.0},
             {"kind": "stein", "lam": 1.0},
             {"kind": "control_functional", "bandwidth": 1.0},
-            {"kind": "kde_normalized", "solver": "auto"},
+            {"kind": "kde_normalized", "tol": 1e-8},
         ],
     )
     def test_option_of_another_kind_rejected(self, scheme):
@@ -122,8 +123,7 @@ class TestConfigValidation:
     def test_every_declared_option_accepted(self):
         schemes = [
             {"kind": "uniform", "label": "flat"},
-            {"kind": "stein", "lower_bound": 0.0, "solver": "auto", "max_iters": 5,
-             "tol": 1e-10},
+            {"kind": "stein", "lower_bound": 0.0, "max_iters": 5, "tol": 1e-10},
             {"kind": "control_functional", "lam": 1e-3},
             {"kind": "control_functional_normalized", "lam": 1e-3},
             {"kind": "kde", "bandwidth": 0.5},
@@ -137,12 +137,10 @@ class TestConfigValidation:
             ({"kind": "stein", "max_iters": "2000"}, [20], "max_iters"),
             ({"kind": "stein", "max_iters": 20.5}, [20], "max_iters"),
             ({"kind": "stein", "max_iters": True}, [20], "max_iters"),
-            ({"kind": "stein", "solver": "newton"}, [20], "solver"),
+            ({"kind": "stein", "tol": -1.0}, [20], "tol"),
             ({"kind": "control_functional", "lam": "abc"}, [20], "lam"),
             ({"kind": "kde_normalized", "bandwidth": -1.0}, [20], "bandwidth"),
             ({"kind": "stein", "lower_bound": 0.5}, [50], "lower_bound"),
-            ({"kind": "stein", "solver": "mirror_descent", "lower_bound": 0.01}, [20],
-             "mirror_descent"),
         ],
     )
     def test_bad_scheme_value_rejected_before_sampling(
@@ -270,6 +268,16 @@ class TestConfigValidation:
         with pytest.raises(AssertionError, match="a draw started"):
             self.run_refusing_draws(monkeypatch, data)
 
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_parallel_degree_rejected_before_oracle(self, monkeypatch, value):
+        calls = []
+        monkeypatch.setattr(harness, "probit_ground_truth",
+                            lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setenv("STEINWEIGHTS_PARALLEL", value)
+        with pytest.raises(ValueError, match="STEINWEIGHTS_PARALLEL"):
+            run_experiment(PROBIT_MALA)
+        assert calls == []
+
     def test_missing_required_key_named_in_error(self):
         data = small_config().to_dict()
         del data["seed"]
@@ -330,7 +338,7 @@ class TestTestFunctions:
             "random_cosine", pts, np.full(pts.shape[0], 1.0 / pts.shape[0]),
             omega=omega, offset=offset,
         )
-        expect = mix.moments().cosine_expectation(omega, offset)
+        expect = mix.cosine_expectation(omega, offset)
         assert vals[0] == pytest.approx(expect, abs=0.01)
 
 
@@ -339,12 +347,7 @@ class TestGroundTruth:
         mix = GaussianMixture(
             weights=np.array([1.0]), means=np.zeros((1, 1)), variances=np.array([1.0])
         )
-        mom = mix.moments()
-        gt = GroundTruth(
-            mean=np.asarray(mom.mean),
-            second_moment=np.asarray(mom.second_moment),
-            exact_cosine=mom.cosine_expectation,
-        )
+        gt = mix.moments()
         omega = np.array([0.9])
         assert gt.cosine(omega, 0.1) == pytest.approx(
             math.exp(-0.81 / 2.0) * math.cos(0.1), abs=1e-12
@@ -473,23 +476,54 @@ class TestRunExperiment:
         assert len(stamps) == 1
         assert os.stat(dataset).st_mtime_ns == stamps[0]
 
-    def test_parallel_matches_serial(self, tmp_path):
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / "parallel"
-        old = os.environ.get("STEINWEIGHTS_PARALLEL")
-        os.environ["STEINWEIGHTS_PARALLEL"] = "1"
-        try:
-            run_experiment(small_config(output_dir=str(serial_dir)))
-            os.environ["STEINWEIGHTS_PARALLEL"] = "2"
-            run_experiment(small_config(output_dir=str(parallel_dir)))
-        finally:
-            if old is None:
-                os.environ.pop("STEINWEIGHTS_PARALLEL", None)
-            else:
-                os.environ["STEINWEIGHTS_PARALLEL"] = old
-        assert (serial_dir / "records.csv").read_bytes() == (
-            parallel_dir / "records.csv"
-        ).read_bytes()
+    @pytest.mark.parametrize(
+        "data",
+        [
+            small_config().to_dict(),
+            # The oracle's thinned draws score random_cosine in the workers;
+            # nine jobs make two chunks of at most eight.
+            {**PROBIT_MALA, "trials": 9, "test_functions": ["coordinate_mean", "random_cosine"]},
+        ],
+        ids=["exact", "mala_oracle"],
+    )
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch, data):
+        records = {}
+        for degree in ("1", "2"):
+            monkeypatch.setenv("STEINWEIGHTS_PARALLEL", degree)
+            out = tmp_path / degree
+            run_experiment({**data, "output_dir": str(out)})
+            records[degree] = (out / "records.csv").read_bytes()
+        assert records["1"] == records["2"]
+
+    @pytest.mark.parametrize(
+        "target, sampler, ground_truth",
+        [
+            ({"kind": "standard_normal", "dimension": 2},
+             {"kind": "iid", "proposal": {"kind": "interpolated", "lam": 0.3}},
+             {"kind": "exact"}),
+            ({"kind": "gmm", "weights": [0.3, 0.7], "means": [[-1.0, 0.0], [1.0, 0.5]],
+              "variances": [0.5, 1.0]},
+             {"kind": "mala", "step_size": 0.1},
+             {"kind": "exact"}),
+            ({"kind": "gmm_fixture", "seed": 3, "components": 4},
+             {"kind": "iid", "proposal": {"kind": "interpolated", "lam": 0.4}},
+             {"kind": "exact"}),
+            (PROBIT_MALA["target"],
+             {"kind": "sgld", "step_size": 0.01, "n_steps": 5, "minibatch_size": 10},
+             PROBIT_MALA["ground_truth"]),
+        ],
+        ids=["standard_normal", "gmm", "gmm_fixture", "probit_simulated"],
+    )
+    def test_context_survives_pickle(self, target, sampler, ground_truth):
+        # Pool workers receive the parent's context pickled, and must score
+        # trials exactly as the parent would.
+        cfg = ExperimentConfig.from_dict({
+            **PROBIT_MALA, "target": target, "sampler": sampler, "ground_truth": ground_truth,
+            "test_functions": ["coordinate_mean", "random_cosine"],
+        })
+        ctx = harness._build_context(cfg)
+        copied = pickle.loads(pickle.dumps(ctx))
+        assert harness._trial_records(copied, 10, 0) == harness._trial_records(ctx, 10, 0)
 
 
 class TestSummaries:

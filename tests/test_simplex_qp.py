@@ -89,10 +89,6 @@ class TestDispatch:
         with pytest.raises(UnsupportedConfigurationError):
             solve_mirror_descent(QpProblem(gram=np.eye(2), lower_bound=-0.1))
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            solve(QpProblem(gram=np.eye(2)), method="newton")
-
     def test_infeasible_bound_rejected(self):
         with pytest.raises(ValueError):
             QpProblem(gram=np.eye(3), lower_bound=0.5)

@@ -80,7 +80,7 @@ class TestMixtureMoments:
         np.testing.assert_allclose(mom.second_moment, [1.0], atol=1e-15)
         omega = np.array([0.7])
         expect = math.exp(-0.49 / 2.0) * math.cos(0.3)
-        assert mom.cosine_expectation(omega, 0.3) == pytest.approx(expect, abs=1e-12)
+        assert mom.cosine(omega, 0.3) == pytest.approx(expect, abs=1e-12)
 
     def test_two_component_moments(self):
         mom = two_sided_mixture(mu=1.0, var=0.01).moments()
@@ -103,7 +103,7 @@ class TestMixtureMoments:
         omega = np.array([0.4, -0.2])
         vals = np.cos(draws @ omega + 0.5)
         se3 = vals.std() / math.sqrt(n)
-        assert abs(vals.mean() - mom.cosine_expectation(omega, 0.5)) < 4 * se3
+        assert abs(vals.mean() - mom.cosine(omega, 0.5)) < 4 * se3
 
 
 class TestGaussianityInterpolation:
