@@ -51,13 +51,7 @@ from .samplers import (
     sgld_chains,
     tune_mala_step,
 )
-from .simplex_qp import (
-    QpProblem,
-    QpSolution,
-    solve,
-    solve_frank_wolfe,
-    solve_mirror_descent,
-)
+from .simplex_qp import QpProblem, QpSolution, solve
 from .stein import (
     ScoreTarget,
     SteinGram,

@@ -48,7 +48,7 @@ class SolverError(SteinWeightsError, RuntimeError):
 
 class UnsupportedConfigurationError(SteinWeightsError, ValueError):
     """Raised when a valid-looking combination of options is not supported,
-    for example mirror descent with a negative lower bound."""
+    for example SGLD on a target without a decomposable likelihood."""
 
 
 class DominanceError(SteinWeightsError, RuntimeError):

@@ -207,7 +207,7 @@ def _spec_values(spec: dict, what: str, required=(), optional=None) -> dict:
     """
     optional = optional or {}
     for key in required:
-        if key not in spec:
+        if spec.get(key) is None:
             raise ValueError(f"{what} spec is missing required key {key!r}")
     unknown = set(spec) - {*required, *optional}
     if unknown:
@@ -218,43 +218,64 @@ def _spec_values(spec: dict, what: str, required=(), optional=None) -> dict:
     return {**optional, **spec}
 
 
+# (type, minimum, above the minimum) of the numeric keys of target and
+# mala_oracle specs.
+_SPEC_RANGES = {
+    **dict.fromkeys(("dimension", "components", "n_data", "draws"), (int, 1, False)),
+    **dict.fromkeys(("burn_in", "store_every", "seed"), (int, 0, False)),
+    **dict.fromkeys(("prior_variance", "step_size"), (float, 0.0, True)),
+}
+
+
+def _spec_numbers(values: dict, defaults: dict) -> dict:
+    """The numeric keys of a target or oracle spec's ``values``, each checked
+    by ``SchemeOption.parse``, so ``null`` stands for the key's default."""
+    return {
+        key: SchemeOption(number, defaults.get(key), minimum, above).parse(key, values[key])
+        for key, (number, minimum, above) in _SPEC_RANGES.items() if key in values
+    }
+
+
 def build_target_model(spec: dict):
     """Materialize a target spec dict into a mixture or probit model."""
     kind = spec.get("kind")
-    what = f"{kind} target"
+
+    def values(required, optional=None):
+        v = _spec_values(spec, f"{kind} target", ("kind", *required), optional)
+        return {**v, **_spec_numbers(v, optional or {})}
+
     if kind == "standard_normal":
-        d = int(_spec_values(spec, what, ("kind", "dimension"))["dimension"])
+        d = values(("dimension",))["dimension"]
         return GaussianMixture(np.array([1.0]), np.zeros((1, d)), np.array([1.0]))
     if kind == "gmm":
-        v = _spec_values(spec, what, ("kind", "weights", "means", "variances"))
+        v = values(("weights", "means", "variances"))
         return GaussianMixture(
             weights=np.asarray(v["weights"], dtype=float),
             means=np.asarray(v["means"], dtype=float),
             variances=np.asarray(v["variances"], dtype=float),
         )
     if kind == "gmm_fixture":
-        v = _spec_values(spec, what, ("kind", "seed"), {
+        v = values(("seed",), {
             "components": 20, "dimension": 2,
             "mean_range": (-5.0, 5.0), "variance_range": (0.3, 1.0),
         })
         return random_gaussian_mixture(
-            n_components=int(v["components"]),
-            dimension=int(v["dimension"]),
-            seed=int(v["seed"]),
+            n_components=v["components"],
+            dimension=v["dimension"],
+            seed=v["seed"],
             mean_range=tuple(v["mean_range"]),
             variance_range=tuple(v["variance_range"]),
         )
     if kind == "probit":
-        v = _spec_values(spec, what, ("kind", "dataset"), {"prior_variance": 0.1})
-        return read_probit_dataset(v["dataset"], prior_variance=float(v["prior_variance"]))
+        v = values(("dataset",), {"prior_variance": 0.1})
+        return read_probit_dataset(v["dataset"], prior_variance=v["prior_variance"])
     if kind == "probit_simulated":
-        v = _spec_values(spec, what, ("kind", "n_data", "dimension", "seed"),
-                         {"prior_variance": 0.1, "dataset_out": None})
+        v = values(("n_data", "dimension", "seed"), {"prior_variance": 0.1, "dataset_out": None})
         model = probit_simulate(
-            n_data=int(v["n_data"]),
-            dimension=int(v["dimension"]),
-            seed=int(v["seed"]),
-            prior_variance=float(v["prior_variance"]),
+            n_data=v["n_data"],
+            dimension=v["dimension"],
+            seed=v["seed"],
+            prior_variance=v["prior_variance"],
         )
         if v["dataset_out"]:
             write_probit_dataset(v["dataset_out"], model)
@@ -287,14 +308,6 @@ _SPEC_KEYS = {
     ("ground_truth", "exact"): ((), {}),
     ("ground_truth", "mala_oracle"): ((), {"draws": 1_000_000, "burn_in": 10_000, "seed": 0,
                                            "step_size": None, "store_every": 10}),
-}
-# (type, minimum, above the minimum) of the mala_oracle's numeric keys.
-_ORACLE_RANGES = {
-    "draws": (int, 1, False),
-    "burn_in": (int, 0, False),
-    "store_every": (int, 0, False),
-    "seed": (int, 0, False),
-    "step_size": (float, 0.0, True),
 }
 
 
@@ -345,10 +358,7 @@ def _resolve_ground_truth(cfg: ExperimentConfig, model) -> GroundTruth:
                 "target has no closed-form moments; configure a ground_truth oracle"
             )
         return model.moments()
-    oracle = {
-        name: SchemeOption(number, optional[name], minimum, above).parse(name, v[name])
-        for name, (number, minimum, above) in _ORACLE_RANGES.items()
-    }
+    oracle = _spec_numbers(v, optional)
     kept = oracle["draws"] // oracle["store_every"] if oracle["store_every"] else 0
     if "random_cosine" in cfg.test_functions and not kept:
         raise ValueError(
@@ -733,7 +743,7 @@ def run_experiment(config) -> ExperimentResult:
         mp_ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=degree, mp_context=mp_ctx,
                                  initializer=_init_worker, initargs=(ctx,)) as pool:
-            chunks = list(pool.map(_worker_trial, jobs, chunksize=8))
+            chunks = list(pool.map(_worker_trial, jobs))
         records = [rec for chunk in chunks for rec in chunk]
     else:
         records = [rec for n, t in jobs for rec in _trial_records(ctx, n, t)]

@@ -102,7 +102,6 @@ def test_criterion_02_kernel_derivatives_match_finite_differences():
     assert elapsed < 2.0, line
 
 
-@pytest.mark.slow
 def test_criterion_03_solvers_match_brute_force_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(31)
@@ -120,16 +119,14 @@ def test_criterion_03_solvers_match_brute_force_oracle():
                 worst_oracle_agreement, abs(grid_obj - oracle_obj)
             )
             grid_checked += 1
-        problem = simplex_qp.QpProblem(gram=mat)
-        for solver in (simplex_qp.solve_mirror_descent, simplex_qp.solve_frank_wolfe):
-            sol = solver(problem, max_iters=20_000, tol=1e-16)
-            scale = max(1.0, abs(oracle_obj))
-            worst_gap = max(worst_gap, (sol.objective - oracle_obj) / scale)
-            worst_feas = max(
-                worst_feas,
-                abs(float(np.sum(sol.weights)) - 1.0),
-                float(max(0.0, -np.min(sol.weights))),
-            )
+        sol = simplex_qp.solve(simplex_qp.QpProblem(gram=mat), max_iters=20_000, tol=1e-16)
+        scale = max(1.0, abs(oracle_obj))
+        worst_gap = max(worst_gap, (sol.objective - oracle_obj) / scale)
+        worst_feas = max(
+            worst_feas,
+            abs(float(np.sum(sol.weights)) - 1.0),
+            float(max(0.0, -np.min(sol.weights))),
+        )
     elapsed = time.perf_counter() - start
     line = (
         f"criterion 03: max relative objective gap vs oracle = {worst_gap:.3e} "

@@ -262,6 +262,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=bad):
             self.run_refusing_draws(monkeypatch, data)
 
+    @pytest.mark.parametrize(
+        "base, target, bad",
+        [
+            ("small", {"kind": "standard_normal", "dimension": 2.7}, "dimension"),
+            ("small", {"kind": "standard_normal", "dimension": True}, "dimension"),
+            ("small", {"kind": "standard_normal", "dimension": "3"}, "dimension"),
+            ("small", {"kind": "standard_normal", "dimension": 0}, "dimension"),
+            ("small", {"kind": "standard_normal", "dimension": None}, "dimension"),
+            ("small", {"seed": 3.9}, "seed"),
+            ("small", {"components": 2.5}, "components"),
+            ("probit", {"n_data": 20.9}, "n_data"),
+            ("probit", {"prior_variance": "0.5"}, "prior_variance"),
+        ],
+    )
+    def test_bad_target_value_rejected_before_sampling(self, monkeypatch, base, target, bad):
+        # A target number is checked as scheme options are, not coerced.
+        data = small_config().to_dict() if base == "small" else copy.deepcopy(PROBIT_MALA)
+        data["target"] = target if "kind" in target else {**data["target"], **target}
+        with pytest.raises(ValueError, match=bad):
+            self.run_refusing_draws(monkeypatch, data)
+
     def test_oracle_keeping_one_draw_for_random_cosine_runs(self, monkeypatch):
         data = {**PROBIT_MALA, "test_functions": ["random_cosine"],
                 "ground_truth": {**PROBIT_MALA["ground_truth"], "store_every": 200}}

@@ -5,18 +5,9 @@ import pytest
 from scipy.linalg import blas
 
 from steinweights import simplex_qp
-from steinweights.errors import UnsupportedConfigurationError
 from steinweights.kernels import RbfKernel, median_heuristic_bandwidth
 from steinweights.samplers import sample_gmm_iid
-from steinweights.simplex_qp import (
-    _ARMIJO_FRACTION,
-    _MAX_BACKTRACKS,
-    QpProblem,
-    _lmo_vertex,
-    solve,
-    solve_frank_wolfe,
-    solve_mirror_descent,
-)
+from steinweights.simplex_qp import _ARMIJO_FRACTION, _MAX_BACKTRACKS, QpProblem, solve
 from steinweights.stein import SteinGram, _gram_product, stein_gram
 from steinweights.targets import random_gaussian_mixture, standard_normal_target
 from support import enumerate_qp_optimum, grid_qp_optimum, random_psd
@@ -24,18 +15,27 @@ from support import enumerate_qp_optimum, grid_qp_optimum, random_psd
 
 class TestClosedFormCases:
     def test_identity_two(self):
-        problem = QpProblem(gram=np.eye(2))
-        for solver in (solve_mirror_descent, solve_frank_wolfe):
-            sol = solver(problem)
+        # (1/2, 1/2) is interior for lb < 1/2 and the only feasible point
+        # at lb = 1/2, where n * lb = 1.
+        for lb in (0.0, -0.5, 0.5):
+            sol = solve(QpProblem(gram=np.eye(2), lower_bound=lb))
             np.testing.assert_allclose(sol.weights, [0.5, 0.5], atol=1e-8)
             assert sol.objective == pytest.approx(0.5, abs=1e-9)
 
     def test_diagonal_one_three(self):
-        problem = QpProblem(gram=np.diag([1.0, 3.0]))
-        for solver in (solve_mirror_descent, solve_frank_wolfe):
-            sol = solver(problem)
-            np.testing.assert_allclose(sol.weights, [0.75, 0.25], atol=1e-7)
-            assert sol.objective == pytest.approx(0.75, abs=1e-9)
+        # The line optimum (3/4, 1/4) is interior for lb < 1/4; at
+        # n * lb = 1 the region is the one point (1/2, 1/2). The relaxed
+        # bound is solved to tol 1e-16, as in the oracle tests: the default
+        # tol stops it 2e-7 short of the optimum.
+        cases = [
+            (0.0, None, [0.75, 0.25], 0.75),
+            (-0.5, 1e-16, [0.75, 0.25], 0.75),
+            (0.5, None, [0.5, 0.5], 1.0),
+        ]
+        for lb, tol, weights, objective in cases:
+            sol = solve(QpProblem(gram=np.diag([1.0, 3.0]), lower_bound=lb), tol=tol)
+            np.testing.assert_allclose(sol.weights, weights, atol=1e-7)
+            assert sol.objective == pytest.approx(objective, abs=1e-9)
 
     def test_single_point(self):
         sol = solve(QpProblem(gram=np.array([[4.0]])))
@@ -56,38 +56,37 @@ class TestClosedFormCases:
         # minimize w1^2 + 100 (1 - w1)^2 has its line optimum at 100/101,
         # interior to the relaxed box, so the bound does not bind.
         problem = QpProblem(gram=np.diag([1.0, 100.0]), lower_bound=-1.0)
-        sol = solve_frank_wolfe(problem, max_iters=20000)
+        sol = solve(problem, max_iters=20000, tol=1e-16)
         np.testing.assert_allclose(sol.weights, [100.0 / 101.0, 1.0 / 101.0], atol=1e-7)
 
     def test_sum_is_exactly_one(self):
+        # (lower bound, slack below it): the multiplicative update keeps
+        # w >= 0 exactly at lb = 0, the final renormalization may move a
+        # weight at a negative lb by rounding, and n * lb = 1 is exact.
         for seed in range(10):
             rng = np.random.default_rng(seed)
             mat = random_psd(rng, 5)
-            for solver in (solve_mirror_descent, solve_frank_wolfe):
-                sol = solver(QpProblem(gram=mat))
+            for lb, slack in ((0.0, 0.0), (-0.3, 1e-12), (0.2, 0.0)):
+                sol = solve(QpProblem(gram=mat, lower_bound=lb))
                 assert sol.weights.sum() == pytest.approx(1.0, abs=1e-12)
-                assert sol.weights.min() >= 0.0
+                assert sol.weights.min() >= lb - slack
 
 
 class TestDispatch:
     def test_auto_zero_bound_matches_mirror_descent(self):
+        # The defaults are mirror descent's: max(2000, 50 n) iterations and
+        # a relative decrease tol of 1e-10.
         rng = np.random.default_rng(1)
         mat = random_psd(rng, 6)
-        auto = solve(QpProblem(gram=mat))
-        md = solve_mirror_descent(QpProblem(gram=mat))
-        np.testing.assert_array_equal(auto.weights, md.weights)
+        problem = QpProblem(gram=mat)
+        _assert_matches_reference(solve(problem), _reference_mirror_descent(problem, 2000))
 
     def test_auto_negative_bound_uses_frank_wolfe(self):
-        # Mirror descent cannot handle a relaxed bound, so auto succeeding
-        # proves the Frank-Wolfe branch was taken.
+        # A relaxed bound runs the same loop on the shifted simplex.
         rng = np.random.default_rng(2)
         mat = random_psd(rng, 4)
         sol = solve(QpProblem(gram=mat, lower_bound=-0.5))
         assert sol.weights.min() >= -0.5 - 1e-12
-
-    def test_mirror_descent_rejects_nonzero_bound(self):
-        with pytest.raises(UnsupportedConfigurationError):
-            solve_mirror_descent(QpProblem(gram=np.eye(2), lower_bound=-0.1))
 
     def test_infeasible_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -105,20 +104,23 @@ class TestDispatch:
 
 class TestSolverAgreement:
     def test_cross_solver_objective_match(self):
+        # Against the enumeration oracle at n = 10, beyond the small
+        # instances of TestEnumerationOracle.
         for seed in range(20):
             rng = np.random.default_rng(500 + seed)
             mat = random_psd(rng, 10)
-            md = solve_mirror_descent(QpProblem(gram=mat), max_iters=10000, tol=1e-14)
-            fw = solve_frank_wolfe(QpProblem(gram=mat), max_iters=10000)
-            scale = max(abs(md.objective), abs(fw.objective), 1e-30)
-            assert abs(md.objective - fw.objective) / scale < 1e-6
+            md = solve(QpProblem(gram=mat), max_iters=10000, tol=1e-14)
+            _, best = enumerate_qp_optimum(mat)
+            scale = max(abs(md.objective), abs(best), 1e-30)
+            assert abs(md.objective - best) / scale < 1e-6
 
     def test_mirror_descent_trace_monotone(self):
         rng = np.random.default_rng(3)
         mat = random_psd(rng, 8)
-        sol = solve_mirror_descent(QpProblem(gram=mat))
-        trace = np.asarray(sol.objective_trace)
-        assert np.all(np.diff(trace) <= 1e-15)
+        for lb in (0.0, -0.2, 0.125):
+            sol = solve(QpProblem(gram=mat, lower_bound=lb))
+            trace = np.asarray(sol.objective_trace)
+            assert np.all(np.diff(trace) <= 1e-15)
 
 
 class TestEnumerationOracle:
@@ -140,14 +142,11 @@ class TestEnumerationOracle:
             n = int(rng.integers(2, 5))
             mat = random_psd(rng, n)
             _, best = enumerate_qp_optimum(mat)
-            md = solve_mirror_descent(QpProblem(gram=mat), max_iters=20000, tol=1e-16)
-            fw = solve_frank_wolfe(QpProblem(gram=mat), max_iters=20000, tol=1e-16)
+            md = solve(QpProblem(gram=mat), max_iters=20000, tol=1e-16)
             scale = max(abs(best), 1e-30)
             assert (md.objective - best) / scale < 1e-6
-            assert (fw.objective - best) / scale < 1e-6
             # The oracle can never be beaten by a feasible iterate.
             assert md.objective >= best - 1e-9 * scale
-            assert fw.objective >= best - 1e-9 * scale
 
     def test_relaxed_bound_against_oracle(self):
         for seed in range(10):
@@ -156,10 +155,10 @@ class TestEnumerationOracle:
             mat = random_psd(rng, n)
             lb = float(rng.uniform(-1.0, 0.0))
             _, best = enumerate_qp_optimum(mat, lower_bound=lb)
-            fw = solve_frank_wolfe(QpProblem(gram=mat, lower_bound=lb), max_iters=20000, tol=1e-16)
+            sol = solve(QpProblem(gram=mat, lower_bound=lb), max_iters=20000, tol=1e-16)
             scale = max(abs(best), 1e-30)
-            assert abs(fw.objective - best) / scale < 1e-6
-            assert fw.weights.min() >= lb - 1e-12
+            assert abs(sol.objective - best) / scale < 1e-6
+            assert sol.weights.min() >= lb - 1e-12
 
 
 def _matmul_product(mat, x):
@@ -170,7 +169,7 @@ def _reference_mirror_descent(problem, max_iters, tol=1e-10, product=None, growt
     """The mirror-descent loop as it was before products with K were shared
     and buffers reused: it scores a candidate with c' (K c), recomputes K w
     after acceptance, and allocates fresh arrays for every step. Products
-    go through ``product``, the solvers' helper unless given; the step size
+    go through ``product``, the solver's helper unless given; the step size
     grows by ``growth``, the solver's ``_ETA_GROWTH`` unless given.
     Returns (weights, objective, iterations, converged, gap)."""
     product = product or simplex_qp._gram_product
@@ -213,71 +212,9 @@ def _reference_mirror_descent(problem, max_iters, tol=1e-10, product=None, growt
             converged = True
             break
     w = w / float(w.sum())
-    _, vertex = _lmo_vertex(grad, 0.0)
+    vertex = np.zeros(n)
+    vertex[int(np.argmin(grad))] = 1.0
     return w, obj, iterations, converged, float(grad @ (w - vertex))
-
-
-def _reference_frank_wolfe(problem, max_iters, tol, product=None):
-    """The Frank-Wolfe loop as it was before products with K were shared:
-    it recomputes K w for the gradient and w' (K w) for the objective.
-    Products go through ``product``, the solvers' helper unless given.
-    Returns (weights, objective, iterations, converged, gap)."""
-    product = product or simplex_qp._gram_product
-    mat = problem.gram
-    n = problem.n
-    lb = problem.lower_bound
-    span = 1.0 - n * lb
-    w = np.full(n, 1.0 / n)
-    obj = float(w @ product(mat, w))
-    converged = False
-    iterations = 0
-    gap = np.inf
-    for _ in range(max_iters):
-        grad = 2.0 * product(mat, w)
-        _, vertex = _lmo_vertex(grad, lb)
-        gap = float(grad @ (w - vertex))
-        if gap <= tol:
-            converged = True
-            break
-        fw_direction = vertex - w
-        active = w > lb
-        masked = np.where(active, grad, -np.inf)
-        a_idx = int(np.argmax(masked))
-        away_vertex = np.full(n, lb)
-        away_vertex[a_idx] = lb + span
-        away_gap = float(grad @ (away_vertex - w))
-        if gap >= away_gap:
-            direction, step_cap, drop_idx, directional = fw_direction, 1.0, None, gap
-        else:
-            direction = w - away_vertex
-            u_a = (w[a_idx] - lb) / span
-            if u_a >= 1.0:
-                direction, step_cap, drop_idx, directional = fw_direction, 1.0, None, gap
-            else:
-                step_cap = u_a / (1.0 - u_a)
-                drop_idx = a_idx
-                directional = away_gap
-        curvature = float(direction @ product(mat, direction))
-        if curvature <= 0.0:
-            step = step_cap
-        else:
-            step = min(step_cap, directional / (2.0 * curvature))
-        if step <= 0.0:
-            converged = True
-            break
-        w = w + step * direction
-        if drop_idx is not None and step == step_cap:
-            w[drop_idx] = lb
-        elif drop_idx is None and step == 1.0:
-            w = vertex.copy()
-        obj = float(w @ product(mat, w))
-        iterations += 1
-    w = w / float(w.sum())
-    return w, obj, iterations, converged, float(gap)
-
-
-def _fw_default_tol(problem):
-    return 1e-10 * problem.n * max(float(np.max(np.diag(problem.gram))), 0.0)
 
 
 def _stein_gram_matrix(n=100, seed=0):
@@ -299,7 +236,7 @@ def _reference_cases():
 
 @pytest.fixture
 def product_calls(monkeypatch):
-    """Counts calls to the solvers' product helper, references included."""
+    """Counts calls to the solver's product helper, references included."""
     calls = []
     product = simplex_qp._gram_product
 
@@ -323,23 +260,13 @@ def _assert_matches_reference(sol, reference):
 
 class TestSharedGramProduct:
     """Sharing K w between the objective and the next gradient must leave
-    every decision of the pre-sharing loops unchanged."""
+    every decision of the pre-sharing loop unchanged."""
 
     def test_mirror_descent_matches_reference(self):
         for mat, iters in _reference_cases():
             problem = QpProblem(gram=mat)
-            sol = solve_mirror_descent(problem, max_iters=iters)
+            sol = solve(problem, max_iters=iters)
             _assert_matches_reference(sol, _reference_mirror_descent(problem, iters))
-
-    def test_frank_wolfe_matches_reference(self):
-        for mat, iters in _reference_cases():
-            n = mat.shape[0]
-            for lb in (0.0, -0.5 / n):
-                problem = QpProblem(gram=mat, lower_bound=lb)
-                sol = solve_frank_wolfe(problem, max_iters=iters)
-                _assert_matches_reference(
-                    sol, _reference_frank_wolfe(problem, iters, _fw_default_tol(problem))
-                )
 
     def test_mirror_descent_one_product_per_scored_candidate(self, product_calls):
         # With c scored candidates and i accepted steps, the reference
@@ -347,20 +274,12 @@ class TestSharedGramProduct:
         # gradient, one per candidate and one fresh gradient per accepted
         # step. Sharing K c leaves 1 + c.
         problem = QpProblem(gram=_stein_gram_matrix())
-        sol = solve_mirror_descent(problem, max_iters=300)
+        sol = solve(problem, max_iters=300)
         shared = len(product_calls)
         product_calls.clear()
         _reference_mirror_descent(problem, 300)
         assert sol.iterations == 300
         assert shared == len(product_calls) - sol.iterations - 1
-
-    def test_frank_wolfe_two_products_per_iteration(self, product_calls):
-        mat = _stein_gram_matrix()
-        for lb in (0.0, -0.005):
-            product_calls.clear()
-            sol = solve_frank_wolfe(QpProblem(gram=mat, lower_bound=lb), max_iters=300)
-            assert sol.iterations == 300
-            assert len(product_calls) == 1 + 2 * sol.iterations
 
 
 class TestSymmetricProduct:
@@ -406,8 +325,7 @@ class TestSymmetricProduct:
         for name, gram in cases.items():
             problem = QpProblem(gram=gram)
             seen.clear()
-            solve_mirror_descent(problem, max_iters=5)
-            solve_frank_wolfe(problem, max_iters=5)
+            solve(problem, max_iters=5)
             assert seen, name
             for a in seen:
                 assert a.flags.f_contiguous, name
@@ -419,24 +337,18 @@ class TestSymmetricProduct:
         assert QpProblem(gram=stein).gram is stein.matrix
 
     def test_drift_against_matmul_loops(self):
-        # The pre-dsymv solvers, products through @, on the criterion-05
-        # target at n = 200: same iterations and convergence flags, weights
+        # The pre-dsymv solver, products through @, on the criterion-05
+        # target at n = 200: same iterations and convergence flag, weights
         # within rounding.
         problem = QpProblem(gram=_stein_gram_matrix(n=200, seed=5))
-        iters = 2000
-        cases = [
-            (solve_mirror_descent(problem, max_iters=iters),
-             _reference_mirror_descent(problem, iters, product=_matmul_product)),
-            (solve_frank_wolfe(problem, max_iters=iters),
-             _reference_frank_wolfe(
-                 problem, iters, _fw_default_tol(problem), product=_matmul_product
-             )),
-        ]
-        for sol, (weights, _, iterations, converged, _) in cases:
-            assert sol.iterations == iterations
-            assert sol.converged == converged
-            scale = float(np.max(np.abs(weights)))
-            assert np.max(np.abs(sol.weights - weights)) <= 1e-10 * scale
+        sol = solve(problem, max_iters=2000)
+        weights, _, iterations, converged, _ = _reference_mirror_descent(
+            problem, 2000, product=_matmul_product
+        )
+        assert sol.iterations == iterations
+        assert sol.converged == converged
+        scale = float(np.max(np.abs(weights)))
+        assert np.max(np.abs(sol.weights - weights)) <= 1e-10 * scale
 
 
 class TestStepSizeGrowth:
@@ -445,7 +357,7 @@ class TestStepSizeGrowth:
     def test_grown_step_rarely_rejected(self, product_calls):
         # Doubling made the next candidate fail almost every time, about
         # 2 products per iteration.
-        sol = solve_mirror_descent(QpProblem(gram=_stein_gram_matrix()), max_iters=300)
+        sol = solve(QpProblem(gram=_stein_gram_matrix()), max_iters=300)
         assert sol.iterations == 300
         assert len(product_calls) <= 1.4 * sol.iterations
 
@@ -454,7 +366,7 @@ class TestStepSizeGrowth:
         # it heads: on the criterion-05 target at n = 200, 2000 iterations
         # growing eta by 1.25 land near the iterate of doubling it.
         problem = QpProblem(gram=_stein_gram_matrix(n=200, seed=5))
-        sol = solve_mirror_descent(problem, max_iters=2000)
+        sol = solve(problem, max_iters=2000)
         weights, objective, _, _, _ = _reference_mirror_descent(problem, 2000, growth=2.0)
         assert np.sum(np.abs(sol.weights - weights)) <= 0.05
         assert abs(sol.objective - objective) <= 0.05 * objective
