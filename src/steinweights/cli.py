@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from .errors import SteinWeightsError
-from .harness import SCHEMES, build_target_model, read_points, run_experiment
+from .harness import SCHEMES, build_target_model, parse_spec, read_points, run_experiment
 from .kernels import RbfKernel, median_heuristic_bandwidth
 from .stein import ksd_weighted, stein_gram
 
@@ -89,7 +89,9 @@ def _cmd_weights(args) -> int:
     if extra:
         flags = ", ".join("--" + name.replace("_", "-") for name in extra)
         raise ValueError(f"--scheme {scheme.kind} does not take {flags}")
-    options = scheme.options_of({name: getattr(args, name) for name in scheme.options})
+    given = {name: v for name in scheme.options if (v := getattr(args, name)) is not None}
+    spec = parse_spec("scheme", {"kind": scheme.kind, **given})
+    options = {name: spec[name] for name in scheme.options}
     points = read_points(args.points)
     target = build_target_model(_load_json(args.target)).as_target()
     log_q = None

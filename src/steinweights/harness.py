@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import math
 import multiprocessing
-import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -97,7 +96,12 @@ _DOMINANCE_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run.
+
+    Construction parses every section against ``SPECS`` and keeps the
+    result, each key with its default, as ``parsed``; a chain sampler's
+    entry there also holds its ``ChainConfig`` as ``chain``.
+    """
 
     target: dict
     sampler: dict
@@ -111,48 +115,36 @@ class ExperimentConfig:
     record_timing: bool = False
 
     def __post_init__(self):
+        parsed = parse_spec("config", {f.name: getattr(self, f.name) for f in fields(self)})
         object.__setattr__(self, "target", dict(self.target))
         object.__setattr__(self, "sampler", dict(self.sampler))
-        schemes = tuple(dict(s) for s in self.schemes)
-        if not schemes:
-            raise ValueError("at least one weighting scheme is required")
-        labels = [s.get("label", s.get("kind")) for s in schemes]
+        object.__setattr__(self, "schemes", tuple(dict(s) for s in self.schemes))
+        object.__setattr__(self, "n_grid", tuple(self.n_grid))
+        object.__setattr__(self, "test_functions", tuple(self.test_functions))
+        labels = [s["label"] or s["kind"] for s in parsed["schemes"]]
         if len(set(labels)) != len(labels):
             raise ValueError("scheme labels must be unique; add 'label' to duplicates")
-        object.__setattr__(self, "schemes", schemes)
-        n_grid = tuple(self.n_grid)
-        if not n_grid or not all(_is_int(n) and n >= 1 for n in n_grid):
-            raise ValueError(f"n_grid must list positive integer sample sizes; got {self.n_grid!r}")
-        object.__setattr__(self, "n_grid", n_grid)
-        for s in schemes:
-            if s.get("kind") not in SCHEMES:
-                raise ValueError(f"unknown scheme kind {s.get('kind')!r}")
-            options = SCHEMES[s["kind"]].options_of(s)
-            lb = options.get("lower_bound", 0.0)
-            if max(n_grid) * lb > 1.0:
-                raise ValueError(
-                    f"lower_bound {lb} infeasible for n = {max(n_grid)} (n * lb > 1)"
-                )
-        if not _is_int(self.trials) or self.trials < 1:
-            raise ValueError(f"trials must be a positive integer; got {self.trials!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer; got {self.seed!r}")
-        if not isinstance(self.record_timing, bool):
-            raise ValueError(f"record_timing must be true or false; got {self.record_timing!r}")
-        fns = tuple(self.test_functions)
-        for fn in fns:
-            if fn not in TEST_FUNCTIONS:
-                raise ValueError(f"unknown test function {fn!r}")
-        if not fns:
-            raise ValueError("at least one test function is required")
-        object.__setattr__(self, "test_functions", fns)
+        lb = max(s.get("lower_bound", 0.0) for s in parsed["schemes"])
+        if max(self.n_grid) * lb > 1.0:
+            raise ValueError(f"lower_bound {lb} infeasible for n = {max(self.n_grid)} (n * lb > 1)")
+        oracle = parsed["ground_truth"] or {"kind": "exact"}
+        if oracle["kind"] == "mala_oracle" and "random_cosine" in self.test_functions and not (
+                1 <= oracle["store_every"] <= oracle["draws"]):
+            raise ValueError(
+                "random_cosine is scored on thinned oracle draws; store_every "
+                f"{oracle['store_every']} keeps none of {oracle['draws']} draws")
+        sampler = parsed["sampler"]
+        if sampler["kind"] != "iid":  # ChainConfig holds the chain samplers' ranges
+            sampler["chain"] = ChainConfig(
+                n_chains=1, **{k: v for k, v in sampler.items() if k != "kind"})
+        object.__setattr__(self, "parsed", parsed)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        required = ("target", "schemes", "n_grid", "trials", "test_functions", "seed")
-        optional = {f.name: f.default for f in fields(cls) if f.name not in required}
-        optional["sampler"] = {"kind": "iid"}
-        return cls(**_spec_values(data, "experiment config", required, optional))
+        row = SPECS["config", None]
+        if not isinstance(data, dict) or not data.keys() <= row.keys():
+            parse_spec("config", data)  # raises the error that names the key
+        return cls(**{key: data.get(key, option.default) for key, option in row.items()})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -199,116 +191,143 @@ class RateFit:
     excluded: int
 
 
-def _spec_values(spec: dict, what: str, required=(), optional=None) -> dict:
-    """A user-supplied spec with the defaults of its absent ``optional`` keys.
+REQUIRED = object()  # the default of a key that a spec must give
 
-    A missing ``required`` key or an undeclared key is a ValueError, which
-    callers (the CLI in particular) report as a configuration error.
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class Option:
+    """One key of a config spec: its type, its default and its range.
+
+    ``type`` is ``int``, ``float``, ``bool``, ``str``, ``list`` (numbers in a
+    JSON list, nested for a matrix), a tuple of allowed names, or the section
+    whose spec the value is. With ``items`` the value is a nonempty list of
+    such values, exactly ``items`` of them unless that is 0. A number is
+    finite and in [``minimum``, ``maximum``], above the minimum if ``above``;
+    no ``bool`` is a number and no fraction an ``int``. ``null`` is a value
+    only where the default is ``None``. Nothing is converted.
     """
-    optional = optional or {}
-    for key in required:
-        if spec.get(key) is None:
-            raise ValueError(f"{what} spec is missing required key {key!r}")
-    unknown = set(spec) - {*required, *optional}
+
+    type: object
+    default: object = REQUIRED
+    minimum: float | None = None
+    above: bool = False
+    maximum: float | None = None
+    items: int | None = None
+    help: str = ""
+
+    @property
+    def range(self) -> str:
+        bounds = ["finite"]
+        if self.minimum is not None:
+            bounds.append(f"{'>' if self.above else '>='} {self.minimum:g}")
+        if self.maximum is not None:
+            bounds.append(f"<= {self.maximum:g}")
+        return " and ".join(bounds)
+
+    def _accepts(self, value) -> bool:
+        if isinstance(self.type, tuple):
+            return value in self.type
+        if isinstance(self.type, str):
+            return isinstance(value, dict)
+        if self.type is list:  # numbers in a JSON list, nested for a matrix
+            return isinstance(value, (list, tuple)) and all(
+                self._accepts(v) if isinstance(v, (list, tuple)) else _is_int(v)
+                or isinstance(v, float) for v in value)
+        if self.type in (bool, str):
+            return isinstance(value, self.type)
+        return (_is_int(value) or (self.type is float and isinstance(value, float))) and (
+            (_is_int(value) or math.isfinite(value))
+            and (self.minimum is None or value > self.minimum
+                 or (value == self.minimum and not self.above))
+            and (self.maximum is None or value <= self.maximum))
+
+    def parse(self, where: str, key: str, value):
+        """``value``, with any spec in it parsed, if it has this option's
+        type and range; else a ValueError that names ``where`` and ``key``."""
+        if value is None and self.default is None:
+            return None
+        many = self.items is not None
+        if not many and self._accepts(value):
+            return parse_spec(self.type, value) if isinstance(self.type, str) else value
+        if many and isinstance(value, (list, tuple)) and 0 < len(value) == (
+                self.items or len(value)) and all(map(self._accepts, value)):
+            return [parse_spec(self.type, v) if isinstance(self.type, str) else v for v in value]
+        what = getattr(self.type, "__name__", f"a {self.type} spec")
+        if self.type in (int, float):
+            what += f", {self.range}"
+        elif self.type is list:
+            what = "numbers in a list"
+        elif isinstance(self.type, tuple):
+            what = f"one of {list(self.type)}"
+        if many:
+            what = f"a list of {self.items or 'one or more'}, each {what}"
+        raise ValueError(f"{where}: {key} must be {what}; got {value!r}")
+
+
+def parse_spec(section: str, spec) -> dict:
+    """Every key of a ``section`` spec, checked against its row of ``SPECS``.
+
+    The result holds the spec's ``kind`` and each key's value, or its
+    default where the key is absent; a spec inside a value is parsed too.
+    A spec that is not a JSON object, an unknown kind or key, a missing
+    required key and a value of the wrong type or out of range are each a
+    ValueError that names the section, the kind and the key.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError(f"{section} spec must be a JSON object; got {spec!r}")
+    kind = None if (section, None) in SPECS else spec.get("kind")
+    options = SPECS.get((section, kind)) if isinstance(kind, (str, type(None))) else None
+    if options is None:
+        kinds = [name for sec, name in SPECS if sec == section]
+        raise ValueError(f"unknown {section} kind {kind!r}; known: {kinds}")
+    where = f"{section} kind {kind!r}" if kind else section
+    unknown = set(spec) - set(options) - ({"kind"} if kind else set())
     if unknown:
-        raise ValueError(
-            f"unknown key(s) {sorted(unknown)} in {what} spec; "
-            f"allowed: {sorted({*required, *optional})}"
-        )
-    return {**optional, **spec}
-
-
-# (type, minimum, above the minimum) of the numeric keys of target and
-# mala_oracle specs.
-_SPEC_RANGES = {
-    **dict.fromkeys(("dimension", "components", "n_data", "draws"), (int, 1, False)),
-    **dict.fromkeys(("burn_in", "store_every", "seed"), (int, 0, False)),
-    **dict.fromkeys(("prior_variance", "step_size"), (float, 0.0, True)),
-}
-
-
-def _spec_numbers(values: dict, defaults: dict) -> dict:
-    """The numeric keys of a target or oracle spec's ``values``, each checked
-    by ``SchemeOption.parse``, so ``null`` stands for the key's default."""
-    return {
-        key: SchemeOption(number, defaults.get(key), minimum, above).parse(key, values[key])
-        for key, (number, minimum, above) in _SPEC_RANGES.items() if key in values
-    }
+        raise ValueError(f"{where}: unknown key(s) {sorted(unknown)}; allowed: {sorted(options)}")
+    values = {"kind": kind} if kind else {}
+    for key, option in options.items():
+        value = spec.get(key, option.default)
+        if value is REQUIRED:
+            raise ValueError(f"{where}: missing required key {key!r}")
+        values[key] = option.parse(where, key, value)
+    return values
 
 
 def build_target_model(spec: dict):
     """Materialize a target spec dict into a mixture or probit model."""
-    kind = spec.get("kind")
-
-    def values(required, optional=None):
-        v = _spec_values(spec, f"{kind} target", ("kind", *required), optional)
-        return {**v, **_spec_numbers(v, optional or {})}
-
-    if kind == "standard_normal":
-        d = values(("dimension",))["dimension"]
-        return GaussianMixture(np.array([1.0]), np.zeros((1, d)), np.array([1.0]))
-    if kind == "gmm":
-        v = values(("weights", "means", "variances"))
-        return GaussianMixture(
-            weights=np.asarray(v["weights"], dtype=float),
-            means=np.asarray(v["means"], dtype=float),
-            variances=np.asarray(v["variances"], dtype=float),
-        )
-    if kind == "gmm_fixture":
-        v = values(("seed",), {
-            "components": 20, "dimension": 2,
-            "mean_range": (-5.0, 5.0), "variance_range": (0.3, 1.0),
-        })
+    v = parse_spec("target", spec)
+    if v["kind"] == "standard_normal":
+        return GaussianMixture.standard_normal(v["dimension"])
+    if v["kind"] == "gmm":
+        return GaussianMixture(v["weights"], v["means"], v["variances"])
+    if v["kind"] == "gmm_fixture":
         return random_gaussian_mixture(
-            n_components=v["components"],
-            dimension=v["dimension"],
-            seed=v["seed"],
-            mean_range=tuple(v["mean_range"]),
-            variance_range=tuple(v["variance_range"]),
-        )
-    if kind == "probit":
-        v = values(("dataset",), {"prior_variance": 0.1})
+            v["components"], v["dimension"], v["seed"], v["mean_range"], v["variance_range"])
+    if v["kind"] == "probit":
         return read_probit_dataset(v["dataset"], prior_variance=v["prior_variance"])
-    if kind == "probit_simulated":
-        v = values(("n_data", "dimension", "seed"), {"prior_variance": 0.1, "dataset_out": None})
-        model = probit_simulate(
-            n_data=v["n_data"],
-            dimension=v["dimension"],
-            seed=v["seed"],
-            prior_variance=v["prior_variance"],
-        )
-        if v["dataset_out"]:
-            write_probit_dataset(v["dataset_out"], model)
-        return model
-    raise ValueError(f"unknown target kind {kind!r}")
+    model = probit_simulate(
+        v["n_data"], v["dimension"], v["seed"], prior_variance=v["prior_variance"])
+    if v["dataset_out"]:
+        write_probit_dataset(v["dataset_out"], model)
+    return model
 
 
 def _resolve_proposal(prop: dict | None, model) -> GaussianMixture:
-    if prop is not None and prop.get("kind") != "interpolated":
-        built = build_target_model(prop)
-        if not isinstance(built, GaussianMixture):
-            raise UnsupportedConfigurationError("proposal must be a mixture")
-        return built
-    if not isinstance(model, GaussianMixture):
-        raise UnsupportedConfigurationError(
-            "iid sampling from the target or an interpolated proposal needs a mixture target"
-        )
-    if prop is None:
-        return model
-    lam = _spec_values(prop, "interpolated proposal", ("kind", "lam"))["lam"]
-    return gaussianity_interpolation(model, float(lam))
-
-
-# The keys of each (section, kind) of a config besides "kind": the required
-# ones, and the optional ones with their defaults.
-_SPEC_KEYS = {
-    ("sampler", "iid"): ((), {"proposal": None}),
-    ("sampler", "mala"): (("step_size",), {"n_steps": 10, "init_scale": 1.0}),
-    ("sampler", "sgld"): (("step_size", "minibatch_size"), {"n_steps": 100, "init_scale": 1.0}),
-    ("ground_truth", "exact"): ((), {}),
-    ("ground_truth", "mala_oracle"): ((), {"draws": 1_000_000, "burn_in": 10_000, "seed": 0,
-                                           "step_size": None, "store_every": 10}),
-}
+    """The iid sampler's mixture from its parsed ``proposal``."""
+    if prop is None or prop["kind"] == "interpolated":
+        if not isinstance(model, GaussianMixture):
+            raise UnsupportedConfigurationError(
+                "iid sampling from the target or an interpolated proposal needs a mixture target"
+            )
+        return model if prop is None else gaussianity_interpolation(model, prop["lam"])
+    built = build_target_model(prop)
+    if not isinstance(built, GaussianMixture):
+        raise UnsupportedConfigurationError("proposal must be a mixture")
+    return built
 
 
 def probit_ground_truth(
@@ -345,29 +364,17 @@ def probit_ground_truth(
     )
 
 
-def _resolve_ground_truth(cfg: ExperimentConfig, model) -> GroundTruth:
-    spec = {"kind": "exact"} if cfg.ground_truth is None else cfg.ground_truth
-    kind = spec.get("kind")
-    if ("ground_truth", kind) not in _SPEC_KEYS:
-        raise ValueError(f"unknown ground_truth kind {kind!r}")
-    required, optional = _SPEC_KEYS["ground_truth", kind]
-    v = _spec_values(spec, f"{kind} ground_truth", ("kind", *required), optional)
-    if kind == "exact":
+def _resolve_ground_truth(oracle: dict | None, model) -> GroundTruth:
+    """The ground truth of a parsed ``ground_truth`` spec; None is exact."""
+    if oracle is None or oracle["kind"] == "exact":
         if not isinstance(model, GaussianMixture):
             raise UnsupportedConfigurationError(
                 "target has no closed-form moments; configure a ground_truth oracle"
             )
         return model.moments()
-    oracle = _spec_numbers(v, optional)
-    kept = oracle["draws"] // oracle["store_every"] if oracle["store_every"] else 0
-    if "random_cosine" in cfg.test_functions and not kept:
-        raise ValueError(
-            "random_cosine is scored on thinned oracle draws; store_every "
-            f"{oracle['store_every']} keeps none of {oracle['draws']} draws"
-        )
     if not isinstance(model, ProbitModel):
         raise UnsupportedConfigurationError("mala_oracle expects a probit target")
-    return probit_ground_truth(model, **oracle)
+    return probit_ground_truth(model, **{k: v for k, v in oracle.items() if k != "kind"})
 
 
 @dataclass
@@ -377,50 +384,44 @@ class _RunContext:
     target: ScoreTarget
     proposal: GaussianMixture | None
     proposal_log_density: Callable | None
-    sampler: str
-    chain: ChainConfig | None  # the chain samplers' config, but for n_chains and seed
     ground: GroundTruth
     schemes: list  # (label, Scheme, options) per configured scheme
 
 
 def _build_context(cfg: ExperimentConfig) -> _RunContext:
-    kind = cfg.sampler.get("kind", "iid")
-    if ("sampler", kind) not in _SPEC_KEYS:
-        raise ValueError(f"unknown sampler kind {kind!r}")
-    required, optional = _SPEC_KEYS["sampler", kind]
-    sampler = _spec_values(cfg.sampler, f"{kind} sampler", required, {"kind": kind, **optional})
-    model = build_target_model(cfg.target)
+    sampler = cfg.parsed["sampler"]
+    model = build_target_model(cfg.parsed["target"])
     target = model.as_target()
-    proposal = proposal_log_density = chain = None
-    if kind == "iid":
+    proposal = proposal_log_density = None
+    if sampler["kind"] == "iid":
         proposal = _resolve_proposal(sampler["proposal"], model)
         proposal_log_density = proposal.log_density
-    else:
-        if kind == "sgld" and not hasattr(model, "data_score_minibatch"):
+    elif sampler["kind"] == "sgld":
+        if not hasattr(model, "data_score_minibatch"):
             raise UnsupportedConfigurationError(
                 "SGLD sampling needs a target with a decomposable likelihood"
             )
-        chain = ChainConfig(n_chains=1, **{key: sampler[key] for key in (*required, *optional)})
-        if kind == "sgld" and chain.minibatch_size > model.n_data:
+        if sampler["minibatch_size"] > model.n_data:
             raise ValueError(
-                f"minibatch_size {chain.minibatch_size} exceeds data size {model.n_data}"
+                f"minibatch_size {sampler['minibatch_size']} exceeds data size {model.n_data}"
             )
     schemes = []
-    for spec in cfg.schemes:
+    for spec in cfg.parsed["schemes"]:
         entry = SCHEMES[spec["kind"]]
         entry.check_inputs(target, proposal_log_density)
-        schemes.append((spec.get("label", entry.kind), entry, entry.options_of(spec)))
-    ground = _resolve_ground_truth(cfg, model)
-    return _RunContext(
-        cfg, model, target, proposal, proposal_log_density, kind, chain, ground, schemes
-    )
+        options = {name: spec[name] for name in entry.options}
+        schemes.append((spec["label"] or entry.kind, entry, options))
+    ground = _resolve_ground_truth(cfg.parsed["ground_truth"], model)
+    return _RunContext(cfg, model, target, proposal, proposal_log_density, ground, schemes)
 
 
 def _sample_points(ctx: _RunContext, n: int, seed_seq: np.random.SeedSequence) -> np.ndarray:
-    if ctx.chain is None:
+    sampler = ctx.config.parsed["sampler"]
+    if sampler["kind"] == "iid":
         return sample_gmm_iid(ctx.proposal, n, np.random.default_rng(seed_seq))
-    config = replace(ctx.chain, n_chains=n, seed=int(seed_seq.generate_state(1, np.uint64)[0]))
-    if ctx.sampler == "mala":
+    seed = int(seed_seq.generate_state(1, np.uint64)[0])
+    config = replace(sampler["chain"], n_chains=n, seed=seed)
+    if sampler["kind"] == "mala":
         return mala_chains(ctx.target, config)
     return sgld_chains(ctx.model, config)
 
@@ -460,52 +461,10 @@ def evaluate_test_function(
 
 
 def _truth_values(ctx: _RunContext, kind: str, omega, offset) -> np.ndarray:
-    if kind == "coordinate_mean":
-        return np.asarray(ctx.ground.mean, dtype=float)
-    if kind == "coordinate_square":
-        return np.asarray(ctx.ground.second_moment, dtype=float)
     if kind == "random_cosine":
         return np.array([ctx.ground.cosine(omega, offset)])
-    raise ValueError(f"unknown test function {kind!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class SchemeOption:
-    """A scheme option's type, range and default.
-
-    A number is finite and at least ``minimum`` (above it if ``above``);
-    ``bool`` is no number, and an ``int`` option takes no fraction.
-    ``None`` stands for ``default``.
-    """
-
-    type: type
-    default: object = None
-    minimum: float | None = None
-    above: bool = False
-    help: str = ""
-
-    @property
-    def range(self) -> str:
-        if self.minimum is None:
-            return "finite"
-        return f"finite and {'>' if self.above else '>='} {self.minimum:g}"
-
-    def parse(self, name: str, value):
-        if value is None:
-            return self.default
-        ok = _is_int(value) or (self.type is float and isinstance(value, float))
-        if ok:
-            value = self.type(value)
-            ok = math.isfinite(value) and (
-                self.minimum is None or value > self.minimum
-                or (value == self.minimum and not self.above))
-        if not ok:
-            raise ValueError(f"{name} must be {self.type.__name__}, {self.range}; got {value!r}")
-        return value
+    moment = ctx.ground.mean if kind == "coordinate_mean" else ctx.ground.second_moment
+    return np.asarray(moment, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -527,17 +486,6 @@ class Scheme:
     @property
     def normalize(self) -> bool:
         return self.kind.endswith("_normalized")
-
-    def options_of(self, spec: dict) -> dict:
-        """Every option from a scheme spec, with defaults; ValueError on an
-        undeclared key ("kind" and "label" are always allowed) or bad value."""
-        unknown = set(spec) - {"kind", "label", *self.options}
-        if unknown:
-            raise ValueError(
-                f"unknown option(s) {sorted(unknown)} for scheme kind {self.kind!r}; "
-                f"allowed: {sorted(self.options) + ['label']}"
-            )
-        return {name: opt.parse(name, spec.get(name)) for name, opt in self.options.items()}
 
     def check_inputs(self, target: ScoreTarget, proposal_log_density) -> None:
         if self.needs_proposal and proposal_log_density is None:
@@ -572,17 +520,17 @@ def _kde(target, points, gram, log_q, normalize, bandwidth):
     return baselines.weights_kde(target, points, bandwidth=bandwidth, normalize=normalize), 0
 
 
-_LAM = {"lam": SchemeOption(float, minimum=0.0, help="ridge (default 1e-8·n·max diag K_p)")}
+_LAM = {"lam": Option(float, None, minimum=0.0, help="ridge (default 1e-8·n·max diag K_p)")}
 _KDE_BANDWIDTH = {
-    "bandwidth": SchemeOption(float, minimum=0.0, above=True, help="KDE density bandwidth")
+    "bandwidth": Option(float, None, minimum=0.0, above=True, help="KDE density bandwidth")
 }
 # Every weighting scheme by kind, for ExperimentConfig, the harness and the CLI.
 SCHEMES = {scheme.kind: scheme for scheme in (
     Scheme("uniform", _uniform),
     Scheme("stein", _stein, needs_gram=True, options={
-        "lower_bound": SchemeOption(float, 0.0, help="lower bound of every weight"),
-        "max_iters": SchemeOption(int, minimum=1, help="solver iteration cap"),
-        "tol": SchemeOption(float, minimum=0.0, help="solver stopping tolerance"),
+        "lower_bound": Option(float, 0.0, help="lower bound of every weight"),
+        "max_iters": Option(int, None, minimum=1, help="solver iteration cap"),
+        "tol": Option(float, None, minimum=0.0, help="solver stopping tolerance"),
     }),
     Scheme("exact_is", _exact_is, needs_proposal=True),
     Scheme("control_functional", _control_functional, _LAM, needs_gram=True),
@@ -590,6 +538,56 @@ SCHEMES = {scheme.kind: scheme for scheme in (
     Scheme("kde", _kde, _KDE_BANDWIDTH, needs_normalized_density=True),
     Scheme("kde_normalized", _kde, _KDE_BANDWIDTH),
 )}
+
+_SEED = Option(int, minimum=0)
+_PRIOR_VARIANCE = Option(float, 0.1, minimum=0.0, above=True)
+_TARGETS = {
+    "standard_normal": {"dimension": Option(int, minimum=1)},
+    "gmm": dict.fromkeys(("weights", "means", "variances"), Option(list)),
+    "gmm_fixture": {
+        "seed": _SEED, "components": Option(int, 20, minimum=1),
+        "dimension": Option(int, 2, minimum=1), "mean_range": Option(float, (-5.0, 5.0), items=2),
+        "variance_range": Option(float, (0.3, 1.0), minimum=0.0, above=True, items=2),
+    },
+    "probit": {"dataset": Option(str), "prior_variance": _PRIOR_VARIANCE},
+    "probit_simulated": {
+        "n_data": Option(int, minimum=1), "dimension": Option(int, minimum=1), "seed": _SEED,
+        "prior_variance": _PRIOR_VARIANCE, "dataset_out": Option(str, None),
+    },
+}
+# Every key of every config section by (section, kind): the top level is
+# ("config", None), a proposal takes any target kind or "interpolated", and
+# each scheme its SCHEMES options and a label. Chain-sampler numbers have
+# their ranges in ChainConfig only.
+SPECS = {
+    ("config", None): {
+        "target": Option("target"), "sampler": Option("sampler", {"kind": "iid"}),
+        "schemes": Option("scheme", items=0), "n_grid": Option(int, minimum=1, items=0),
+        "trials": Option(int, minimum=1), "test_functions": Option(TEST_FUNCTIONS, items=0),
+        "seed": _SEED, "output_dir": Option(str, None),
+        "ground_truth": Option("ground_truth", None), "record_timing": Option(bool, False),
+    },
+    **{("target", kind): row for kind, row in _TARGETS.items()},
+    **{("proposal", kind): row for kind, row in _TARGETS.items()},
+    ("proposal", "interpolated"): {"lam": Option(float, minimum=0.0, maximum=1.0)},
+    ("sampler", "iid"): {"proposal": Option("proposal", None)},
+    ("sampler", "mala"): {
+        "step_size": Option(float), "n_steps": Option(int, 10), "init_scale": Option(float, 1.0),
+    },
+    ("sampler", "sgld"): {
+        "step_size": Option(float), "minibatch_size": Option(int),
+        "n_steps": Option(int, 100), "init_scale": Option(float, 1.0),
+    },
+    ("ground_truth", "exact"): {},
+    ("ground_truth", "mala_oracle"): {
+        "draws": Option(int, 1_000_000, minimum=1), "burn_in": Option(int, 10_000, minimum=0),
+        "seed": Option(int, 0, minimum=0),
+        "step_size": Option(float, None, minimum=0.0, above=True),
+        "store_every": Option(int, 10, minimum=0),
+    },
+    **{("scheme", kind): {**scheme.options, "label": Option(str, None)}
+       for kind, scheme in SCHEMES.items()},
+}
 
 
 def _failed_records(ctx: _RunContext, n: int, trial: int, scheme_label: str) -> list:

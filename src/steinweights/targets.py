@@ -175,15 +175,15 @@ class GaussianMixture:
             density_normalized=True,
         )
 
+    @classmethod
+    def standard_normal(cls, dimension: int) -> "GaussianMixture":
+        """Standard normal in d dimensions as a one-component mixture."""
+        return cls(np.array([1.0]), np.zeros((1, dimension)), np.array([1.0]))
+
 
 def standard_normal_target(dimension: int) -> ScoreTarget:
     """Standard normal in d dimensions as a one-component mixture."""
-    mixture = GaussianMixture(
-        weights=np.array([1.0]),
-        means=np.zeros((1, dimension)),
-        variances=np.array([1.0]),
-    )
-    return mixture.as_target()
+    return GaussianMixture.standard_normal(dimension).as_target()
 
 
 def gaussianity_interpolation(mixture: GaussianMixture, lam: float) -> GaussianMixture:
@@ -193,7 +193,6 @@ def gaussianity_interpolation(mixture: GaussianMixture, lam: float) -> GaussianM
     (1 - lam)^2 var + lam^2. lam = 0 reproduces the mixture unchanged and
     lam = 1 collapses every component onto the standard normal.
     """
-    lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"interpolation parameter must lie in [0, 1], got {lam}")
     if lam == 0.0:

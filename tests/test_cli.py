@@ -302,6 +302,18 @@ class TestErrorPaths:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_malformed_run_config_exits_two(self, tmp_path, capsys):
+        config = {
+            "seed": 1, "n_grid": [10], "trials": 1, "schemes": [{"kind": "uniform"}],
+            "test_functions": ["coordinate_mean"],
+            "target": {"kind": "gmm_fixture", "seed": 3, "mean_range": 5},
+        }
+        code = main(["run", "--config", _write_json(tmp_path / "config.json", config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "mean_range" in err
+
     def test_ksd_zero_bandwidth_exits_two(self, tmp_path, capsys):
         points_path, _ = _points_file(tmp_path, n=6)
         target_path = _write_json(

@@ -1,6 +1,7 @@
 """Experiment driver: config validation, records, summaries, determinism."""
 
 import copy
+import json
 import math
 import os
 import pickle
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steinweights import harness, targets
+from steinweights import harness, simplex_qp, targets
+from steinweights.errors import DominanceError
 from steinweights.harness import (
     ExperimentConfig,
     ExperimentRecord,
@@ -169,6 +171,13 @@ class TestConfigValidation:
             ("seed", False),
             ("n_grid", [10.9]),
             ("n_grid", [True, 20]),
+            ("n_grid", 5),
+            ("sampler", None),
+            ("target", 3),
+            ("ground_truth", "exact"),
+            ("schemes", [3]),
+            ("schemes", {"kind": "uniform"}),
+            ("test_functions", "coordinate_mean"),
         ],
     )
     def test_top_level_value_not_coerced(self, key, value):
@@ -180,7 +189,7 @@ class TestConfigValidation:
     def test_number_option_takes_an_int(self):
         # JSON has one number type: 1 is as good a ridge as 1.0.
         scheme = {"kind": "control_functional", "lam": 1}
-        assert harness.SCHEMES["control_functional"].options_of(scheme) == {"lam": 1.0}
+        assert harness.parse_spec("scheme", scheme)["lam"] == 1.0
         assert small_config(schemes=[scheme]).schemes == (scheme,)
 
     @staticmethod
@@ -274,6 +283,8 @@ class TestConfigValidation:
             ("small", {"components": 2.5}, "components"),
             ("probit", {"n_data": 20.9}, "n_data"),
             ("probit", {"prior_variance": "0.5"}, "prior_variance"),
+            ("small", {"mean_range": 5}, "mean_range"),
+            ("small", {"variance_range": [1]}, "variance_range"),
         ],
     )
     def test_bad_target_value_rejected_before_sampling(self, monkeypatch, base, target, bad):
@@ -282,6 +293,35 @@ class TestConfigValidation:
         data["target"] = target if "kind" in target else {**data["target"], **target}
         with pytest.raises(ValueError, match=bad):
             self.run_refusing_draws(monkeypatch, data)
+
+    @pytest.mark.parametrize("lam", ["0.4", True, [0.4], 1.5, -0.1])
+    def test_bad_interpolated_lam_rejected_before_sampling(self, monkeypatch, lam):
+        # lam is checked as a number in [0, 1], not coerced.
+        data = small_config().to_dict()
+        data["sampler"] = {"kind": "iid", "proposal": {"kind": "interpolated", "lam": lam}}
+        with pytest.raises(ValueError, match="lam"):
+            self.run_refusing_draws(monkeypatch, data)
+
+    @pytest.mark.parametrize(
+        "section, spec, message",
+        [
+            ("target", {"kind": "standard_normal", "dimension": 0},
+             "target kind 'standard_normal': dimension must be"),
+            ("sampler", {"kind": "iid", "proposal": {"kind": "interpolated", "lam": 2.0}},
+             "proposal kind 'interpolated': lam must be"),
+            ("sampler", {"kind": "iid", "proposal": {"kind": "gmm_fixture", "seed": -3}},
+             "proposal kind 'gmm_fixture': seed must be"),
+            ("sampler", {"kind": "mala", "step_size": -0.01}, "step_size must be"),
+            ("ground_truth", {"kind": "mala_oracle", "draws": 0},
+             "ground_truth kind 'mala_oracle': draws must be"),
+        ],
+    )
+    def test_from_dict_parses_every_section(self, section, spec, message):
+        # The config is checked when it is built, not when the run starts.
+        data = small_config().to_dict()
+        data[section] = spec
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(data)
 
     def test_oracle_keeping_one_draw_for_random_cosine_runs(self, monkeypatch):
         data = {**PROBIT_MALA, "test_functions": ["random_cosine"],
@@ -309,22 +349,32 @@ class TestConfigValidation:
 class TestReadmeSpecKeys:
     README = Path(__file__).resolve().parents[1] / "README.md"
 
-    def test_sampler_and_ground_truth_rows_are_the_tables(self):
-        rows = re.findall(r"^ *\| `(sampler|ground_truth)` \| `(\w+)` \|(.*)\|(.*)\|$",
-                          self.README.read_text(), flags=re.MULTILINE)
+    def test_every_row_is_the_table(self):
+        # Schemes have their own option table; a proposal of a target kind
+        # is that target's row.
+        rows = re.findall(
+            r"^\| `(config|target|proposal|sampler|ground_truth)` \| (?:`(\w+)` )?\|(.*)\|(.*)\|$",
+            self.README.read_text(), flags=re.MULTILINE)
         documented = {
-            (section, kind): (re.findall(r"`(\w+)`", required),
-                              re.findall(r"`(\w+)` \(([^)]*)\)", optional))
+            (section, kind or None): (re.findall(r"`(\w+)`", required),
+                                      re.findall(r"`(\w+)` \(([^)]*)\)", optional))
             for section, kind, required, optional in rows
         }
-        assert documented.keys() == harness._SPEC_KEYS.keys()
-        for row, (required, optional) in harness._SPEC_KEYS.items():
+        table = {
+            (section, kind): options for (section, kind), options in harness.SPECS.items()
+            if section != "scheme"
+            and not (section == "proposal" and ("target", kind) in harness.SPECS)
+        }
+        assert documented.keys() == table.keys()
+        for row, options in table.items():
             doc_required, doc_optional = documented[row]
-            assert doc_required == list(required), row
-            assert [name for name, _ in doc_optional] == list(optional), row
+            required = [name for name, o in options.items() if o.default is harness.REQUIRED]
+            assert doc_required == required, row
+            assert [name for name, _ in doc_optional] == [
+                name for name in options if name not in required], row
             for name, default in doc_optional:
-                if optional[name] is not None:  # None reads "the target", "tuned"
-                    assert default == str(optional[name]), (row, name)
+                if options[name].default is not None:  # None reads "the target", "tuned"
+                    assert default == json.dumps(options[name].default), (row, name)
 
 
 class TestTestFunctions:
@@ -419,6 +469,18 @@ class TestRunExperiment:
         for (n, trial, scheme), ksd in by_key.items():
             if scheme == "stein":
                 assert ksd <= by_key[(n, trial, "uniform")] + 1e-12
+
+    def test_stein_losing_to_uniform_raises(self, monkeypatch):
+        # A stein solve worse than uniform's weights aborts the run.
+        def vertex(problem, **kwargs):
+            weights = np.zeros(problem.n)
+            weights[np.argmax(np.diag(problem.gram))] = 1.0
+            return simplex_qp.QpSolution(weights, 0.0, 1, False, 0.0, np.zeros(1))
+
+        monkeypatch.setattr(simplex_qp, "solve", vertex)
+        monkeypatch.delenv("STEINWEIGHTS_PARALLEL", raising=False)
+        with pytest.raises(DominanceError, match="stein weights lost to uniform"):
+            run_experiment(small_config())
 
     def test_failed_trials_marked_not_raised(self):
         # SGLD with zero step size and zero init scale parks every chain on

@@ -73,7 +73,7 @@ class TestClosedFormCases:
 
 
 class TestDispatch:
-    def test_auto_zero_bound_matches_mirror_descent(self):
+    def test_zero_bound_defaults_match_mirror_descent_reference(self):
         # The defaults are mirror descent's: max(2000, 50 n) iterations and
         # a relative decrease tol of 1e-10.
         rng = np.random.default_rng(1)
@@ -81,7 +81,7 @@ class TestDispatch:
         problem = QpProblem(gram=mat)
         _assert_matches_reference(solve(problem), _reference_mirror_descent(problem, 2000))
 
-    def test_auto_negative_bound_uses_frank_wolfe(self):
+    def test_negative_bound_runs_shifted_simplex(self):
         # A relaxed bound runs the same loop on the shifted simplex.
         rng = np.random.default_rng(2)
         mat = random_psd(rng, 4)

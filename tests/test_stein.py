@@ -375,7 +375,7 @@ def rank_one_dip(n, dip):
 
 class TestCholeskyPsdCheck:
     @pytest.mark.parametrize("n", [40, 1100])
-    def test_floor_is_exact_on_both_sides_of_1024(self, n):
+    def test_floor_is_exact_at_small_and_large_n(self, n):
         floor = 1e-8 * n
         with pytest.raises(GramIntegrityError, match="below PSD floor"):
             SteinGram(matrix=rank_one_dip(n, 1.001 * floor), kernel=RbfKernel(1.0))
