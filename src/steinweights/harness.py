@@ -124,6 +124,9 @@ class ExperimentConfig:
         labels = [s["label"] or s["kind"] for s in parsed["schemes"]]
         if len(set(labels)) != len(labels):
             raise ValueError("scheme labels must be unique; add 'label' to duplicates")
+        for key in ("n_grid", "test_functions"):
+            if len(set(parsed[key])) != len(parsed[key]):
+                raise ValueError(f"{key} entries must be distinct; got {parsed[key]!r}")
         lb = max(s.get("lower_bound", 0.0) for s in parsed["schemes"])
         if max(self.n_grid) * lb > 1.0:
             raise ValueError(f"lower_bound {lb} infeasible for n = {max(self.n_grid)} (n * lb > 1)")
@@ -332,16 +335,21 @@ def _resolve_proposal(prop: dict | None, model) -> GaussianMixture:
 
 def probit_ground_truth(
     model: ProbitModel,
-    draws: int = 1_000_000,
-    burn_in: int = 10_000,
-    seed: int = 0,
-    step_size: float | None = None,
-    store_every: int = 10,
+    *,
+    draws: int,
+    burn_in: int,
+    seed: int,
+    step_size: float | None,
+    store_every: int,
 ) -> GroundTruth:
-    """Long single-chain MALA estimate of posterior mean and second moment.
+    """MALA estimate of the posterior mean and second moment.
 
-    When no step size is given it is tuned toward 0.574 acceptance first.
-    Thinned draws are kept so cosine expectations can be scored too.
+    ``samplers.mala_chain_moments`` runs the batch of chains: ``draws`` and
+    ``burn_in`` count rows across its chains. When ``step_size`` is None it
+    is tuned toward 0.574 acceptance first, and chain 0's tuned state starts
+    every chain. Every ``store_every``-th kept row is returned as a thinned
+    draw, so cosine expectations can be scored too. The defaults of a
+    ``mala_oracle`` spec are in ``SPECS``.
     """
     target = model.as_target()
     if step_size is None:

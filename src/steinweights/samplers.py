@@ -10,6 +10,11 @@ Per-chain draw order is part of the contract:
 * init: d standard normals scaled by ``init_scale``;
 * MALA step: d proposal normals, then one acceptance uniform;
 * SGLD step: d noise normals, then the minibatch index draw.
+
+The moment oracle ``mala_chain_moments`` instead runs C = min(64,
+``n_draws``) chains from the one generator ``default_rng(seed)``. Every
+chain starts at ``init`` (or at zeros), and each step draws a (C, d) block
+of proposal normals, then C acceptance uniforms.
 """
 
 from __future__ import annotations
@@ -66,6 +71,10 @@ def _check_number(name: str, value, kind: type, minimum: float) -> None:
         raise ValueError(f"{name} must be {noun} >= {minimum:g}; got {value!r}")
 
 
+# Chains in one mala_chain_moments batch; fewer draws run one chain each.
+_ORACLE_CHAINS = 64
+
+
 def _chain_generator(seed: int, chain: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(chain,))
@@ -104,12 +113,14 @@ def _pregenerate(
     return inits, noise, draws
 
 
-def _mala_proposal(target: ScoreTarget, x, log_p, score, eps: float, xi):
-    """One MALA proposal from each row of ``x``, (c, d), with normals ``xi``.
+def _mala_step(target: ScoreTarget, x, log_p, score, eps: float, xi, uniforms):
+    """One MALA step of each row of ``x``, (c, d), with normals ``xi``, (c, d).
 
-    Returns the proposal x + eps * score + sqrt(2 eps) xi, its log-density
-    and score, and the log acceptance ratio of each row. The Metropolis
+    The proposal x + eps * score + sqrt(2 eps) xi replaces a row when the
+    log of its uniform is below the log Metropolis acceptance ratio. The
     correction vanishes at ``eps = 0``, where the proposal is ``x`` itself.
+    Returns the new rows, their log-densities and scores, and the (c,)
+    acceptance mask.
     """
     proposal = x + eps * score + np.sqrt(2.0 * eps) * xi
     log_p_prop = np.asarray(target.log_density(proposal), dtype=float)
@@ -118,10 +129,14 @@ def _mala_proposal(target: ScoreTarget, x, log_p, score, eps: float, xi):
     if eps > 0.0:
         fwd = proposal - x - eps * score
         bwd = x - proposal - eps * score_prop
-        # np.add.reduce is np.sum without its Python-level wrapper, whose
-        # cost the oracle's one-row batch would pay on every step.
-        log_alpha += np.add.reduce(fwd * fwd - bwd * bwd, axis=1) / (4.0 * eps)
-    return proposal, log_p_prop, score_prop, log_alpha
+        log_alpha += np.sum(fwd * fwd - bwd * bwd, axis=1) / (4.0 * eps)
+    accept = np.log(uniforms) < log_alpha
+    return (
+        np.where(accept[:, None], proposal, x),
+        np.where(accept, log_p_prop, log_p),
+        np.where(accept[:, None], score_prop, score),
+        accept,
+    )
 
 
 def mala_chains(target: ScoreTarget, config: ChainConfig) -> np.ndarray:
@@ -139,13 +154,9 @@ def mala_chains(target: ScoreTarget, config: ChainConfig) -> np.ndarray:
     log_p = np.asarray(target.log_density(x), dtype=float)
     score = np.asarray(target.score(x), dtype=float)
     for step in range(config.n_steps):
-        proposal, log_p_prop, score_prop, log_alpha = _mala_proposal(
-            target, x, log_p, score, eps, noise[:, step]
+        x, log_p, score, _ = _mala_step(
+            target, x, log_p, score, eps, noise[:, step], uniforms[:, step]
         )
-        accept = np.log(uniforms[:, step]) < log_alpha
-        x = np.where(accept[:, None], proposal, x)
-        log_p = np.where(accept, log_p_prop, log_p)
-        score = np.where(accept[:, None], score_prop, score)
     return x
 
 
@@ -207,49 +218,61 @@ def mala_chain_moments(
     init: np.ndarray | None = None,
     store_every: int = 10,
 ) -> dict:
-    """Single long MALA chain with streaming moment accumulation.
+    """MALA moments from C = min(64, ``n_draws``) chains run as one batch.
 
-    Returns a dict with ``mean``, ``second_moment``, ``acceptance_rate``,
-    ``final_state`` and ``thinned`` (every ``store_every``-th post-burn-in
-    draw, for expectations beyond the first two moments).
+    ``n_draws`` and ``burn_in`` count rows across chains: every chain starts
+    at ``init`` (or at zeros), discards its first ceil(``burn_in`` / C)
+    steps and keeps the next ceil(``n_draws`` / C). All chains draw from
+    ``default_rng(seed)``: per step a (C, d) block of proposal normals, then
+    C acceptance uniforms.
+
+    Returns a dict with ``mean`` and ``second_moment`` over every kept row,
+    ``acceptance_rate`` (accepted rows over all rows, burn-in included),
+    ``final_state`` (chain 0's last state) and ``thinned``: every
+    ``store_every``-th kept row, counted step-major and chain-minor, for
+    expectations beyond the first two moments.
     """
     if target.log_density is None:
         raise ValueError("MALA needs a target log-density for the accept step")
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be at least 1; got {n_draws!r}")
     d = target.dimension
+    chains = min(_ORACLE_CHAINS, n_draws)
+    burn_steps = -(-burn_in // chains)
+    kept_steps = -(-n_draws // chains)
     rng = np.random.default_rng(seed)
-    # The chain is a one-row batch, (1, d); it accepts with a scalar test.
-    x = np.zeros((1, d)) if init is None else np.array(init, dtype=float).reshape(1, d)
+    start = np.zeros(d) if init is None else np.asarray(init, dtype=float).reshape(d)
+    x = np.tile(start, (chains, 1))
     eps = float(step_size)
     log_p = np.asarray(target.log_density(x), dtype=float)
     score = np.asarray(target.score(x), dtype=float)
-    sum_x = np.zeros((1, d))
-    sum_sq = np.zeros((1, d))
+    # Per-chain sums, added over chains once at the end.
+    sum_x = np.zeros((chains, d))
+    sum_sq = np.zeros((chains, d))
     accepted = 0
-    kept = 0
-    thinned = []
-    total = burn_in + n_draws
-    for step in range(total):
-        xi = rng.standard_normal(d)
-        proposal, log_p_prop, score_prop, log_alpha = _mala_proposal(
-            target, x, log_p, score, eps, xi
-        )
-        if np.log(rng.uniform()) < log_alpha[0]:
-            x = proposal
-            log_p = log_p_prop
-            score = score_prop
-            accepted += 1
-        if step >= burn_in:
-            kept += 1
-            sum_x += x
-            sum_sq += x * x
-            if store_every and kept % store_every == 0:
-                thinned.append(x[0])
+    thinned = [np.empty((0, d))]
+    for step in range(burn_steps + kept_steps):
+        xi = rng.standard_normal((chains, d))
+        uniforms = rng.uniform(size=chains)
+        x, log_p, score, accept = _mala_step(target, x, log_p, score, eps, xi, uniforms)
+        accepted += np.count_nonzero(accept)
+        kept = step - burn_steps
+        if kept < 0:
+            continue
+        sum_x += x
+        sum_sq += x * x
+        if store_every:
+            # Kept row kept * chains + c is stored when its 1-based count
+            # is a multiple of store_every.
+            first = (-kept * chains - 1) % store_every
+            thinned.append(x[first::store_every].copy())
+    rows = chains * kept_steps
     return {
-        "mean": sum_x[0] / max(kept, 1),
-        "second_moment": sum_sq[0] / max(kept, 1),
-        "acceptance_rate": accepted / max(total, 1),
-        "final_state": x[0],
-        "thinned": np.array(thinned) if thinned else np.empty((0, d)),
+        "mean": sum_x.sum(axis=0) / rows,
+        "second_moment": sum_sq.sum(axis=0) / rows,
+        "acceptance_rate": accepted / (chains * (burn_steps + kept_steps)),
+        "final_state": x[0].copy(),
+        "thinned": np.concatenate(thinned),
     }
 
 
@@ -264,9 +287,12 @@ def tune_mala_step(
 ) -> tuple[float, np.ndarray]:
     """Adapt the MALA step size toward a target acceptance rate.
 
-    Runs short pilot stretches, nudging log(step) by the acceptance error
-    after each. Returns the tuned step and the final chain state, which
-    makes a warm start for the production run.
+    Runs ``rounds`` pilot calls of ``mala_chain_moments``, each of
+    ``pilot_steps`` rows across its batch of chains, and after each nudges
+    log(step) by the acceptance error. Every round starts all its chains at
+    chain 0's last state from the round before. Returns the tuned step and
+    that state of the last round, which makes a warm start for the
+    production run.
     """
     d = target.dimension
     eps = float(initial_step)

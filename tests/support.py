@@ -14,10 +14,13 @@ package's float64 Gram.
 ``frozen_mala_chain_moments`` is the single-chain MALA loop written out on a
 (d,) state, with its own proposal and Metropolis correction, and
 ``reference_mala_chains`` replays parallel MALA chains one at a time with
-it. The package's samplers must match both bit for bit.
+it. ``frozen_many_chain_moments`` is the moment oracle's batch of chains,
+updated one row at a time with the same formulas. The package's samplers
+must match them bit for bit.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -172,7 +175,8 @@ def frozen_mala_chain_moments(
 
     Per step: d proposal normals, then one acceptance uniform, both from
     ``np.random.default_rng(seed)`` (a Generator is used as it is). Returns
-    the same dict as ``samplers.mala_chain_moments``.
+    the keys of ``samplers.mala_chain_moments``; ``reference_mala_chains``
+    runs one such chain per parallel chain.
     """
     d = target.dimension
     rng = np.random.default_rng(seed)
@@ -214,6 +218,75 @@ def frozen_mala_chain_moments(
         "second_moment": sum_sq / max(kept, 1),
         "acceptance_rate": accepted / max(total, 1),
         "final_state": x,
+        "thinned": np.array(thinned) if thinned else np.empty((0, d)),
+    }
+
+
+def frozen_many_chain_moments(
+    target, n_draws, burn_in, step_size, seed, init=None, store_every=10, chains=64
+):
+    """The moment oracle's C = min(chains, n_draws) MALA chains, row by row.
+
+    Every chain starts at ``init`` (or zeros). Each step draws a (C, d) block
+    of proposal normals, then C acceptance uniforms, from
+    ``np.random.default_rng(seed)``, and updates chain 0, 1, ..., C - 1 in
+    turn with the formulas of ``frozen_mala_chain_moments``. The target is
+    evaluated once per step on all C proposals, since a probit row rounds
+    differently alone than in a batch. Each chain discards its first
+    ceil(burn_in / C) steps and keeps the next ceil(n_draws / C); kept rows
+    are counted step-major, chain-minor, and each chain's sums are added in
+    chain order. Returns the same dict as ``samplers.mala_chain_moments``.
+    """
+    d = target.dimension
+    c_count = min(chains, n_draws)
+    burn_steps = math.ceil(burn_in / c_count)
+    kept_steps = math.ceil(n_draws / c_count)
+    rng = np.random.default_rng(seed)
+    start = np.zeros(d) if init is None else np.asarray(init, dtype=float)
+    xs = [start.copy() for _ in range(c_count)]
+    log_ps = list(np.asarray(target.log_density(np.array(xs)), dtype=float))
+    scores = list(np.asarray(target.score(np.array(xs)), dtype=float))
+    eps = float(step_size)
+    root = np.sqrt(2.0 * eps)
+    sums = [np.zeros(d) for _ in range(c_count)]
+    sums_sq = [np.zeros(d) for _ in range(c_count)]
+    accepted = 0
+    kept = 0
+    thinned = []
+    for step in range(burn_steps + kept_steps):
+        xi = rng.standard_normal((c_count, d))
+        uniforms = rng.uniform(size=c_count)
+        proposals = np.array([xs[c] + eps * scores[c] + root * xi[c] for c in range(c_count)])
+        log_p_props = np.asarray(target.log_density(proposals), dtype=float)
+        score_props = np.asarray(target.score(proposals), dtype=float)
+        for c in range(c_count):
+            fwd = proposals[c] - xs[c] - eps * scores[c]
+            bwd = xs[c] - proposals[c] - eps * score_props[c]
+            if eps > 0.0:
+                log_alpha = (log_p_props[c] - log_ps[c]
+                             + (fwd @ fwd - bwd @ bwd) / (4.0 * eps))
+            else:
+                log_alpha = log_p_props[c] - log_ps[c]
+            if np.log(uniforms[c]) < log_alpha:
+                xs[c] = proposals[c]
+                log_ps[c] = log_p_props[c]
+                scores[c] = score_props[c]
+                accepted += 1
+            if step >= burn_steps:
+                kept += 1
+                sums[c] += xs[c]
+                sums_sq[c] += xs[c] * xs[c]
+                if store_every and kept % store_every == 0:
+                    thinned.append(xs[c].copy())
+    total, total_sq = sums[0].copy(), sums_sq[0].copy()
+    for c in range(1, c_count):
+        total += sums[c]
+        total_sq += sums_sq[c]
+    return {
+        "mean": total / kept,
+        "second_moment": total_sq / kept,
+        "acceptance_rate": accepted / (c_count * (burn_steps + kept_steps)),
+        "final_state": xs[0],
         "thinned": np.array(thinned) if thinned else np.empty((0, d)),
     }
 

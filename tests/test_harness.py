@@ -186,6 +186,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_grid", [10, 10]), ("test_functions", ["coordinate_mean", "coordinate_mean"])],
+    )
+    def test_repeated_entry_rejected(self, key, value):
+        # A repeat would run the same cells or test function twice and pool
+        # the duplicate records in the summary.
+        with pytest.raises(ValueError, match=f"{key} entries must be distinct"):
+            small_config(**{key: value})
+
     def test_number_option_takes_an_int(self):
         # JSON has one number type: 1 is as good a ridge as 1.0.
         scheme = {"kind": "control_functional", "lam": 1}

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from support import frozen_mala_chain_moments, reference_mala_chains
+from support import frozen_many_chain_moments, reference_mala_chains
 from steinweights.errors import NonFinitePointsError
 from steinweights.samplers import (
     ChainConfig,
@@ -93,7 +93,6 @@ class TestMalaChains:
         out = mala_chain_moments(target, n_draws=200, burn_in=20, step_size=0.0, seed=3)
         assert out["acceptance_rate"] == 1.0
 
-    @pytest.mark.slow
     def test_long_run_equilibrium_variance(self):
         target = standard_normal_target(1)
         out = mala_chain_moments(
@@ -123,7 +122,7 @@ class TestMalaReference:
         args = dict(n_draws=10_000, burn_in=1_000, step_size=step_size, seed=17,
                     init=init, store_every=7)
         got = mala_chain_moments(target, **args)
-        want = frozen_mala_chain_moments(target, **args)
+        want = frozen_many_chain_moments(target, **args)
         assert got.keys() == want.keys()
         for key in want:
             np.testing.assert_array_equal(got[key], want[key], err_msg=key)
@@ -144,6 +143,78 @@ class TestMalaReference:
         cfg = ChainConfig(n_chains=n_chains, n_steps=300, step_size=step_size,
                           init_scale=1.5, seed=21)
         np.testing.assert_array_equal(mala_chains(target, cfg), reference_mala_chains(target, cfg))
+
+
+class HalfPlaneTarget:
+    """Flat on x_0 <= 0, zero density above, with a zero score.
+
+    A MALA proposal is then accepted exactly when its first coordinate is
+    <= 0. The target records every batch it is asked for, so a test can
+    replay the chains: the first batch holds the starting rows, and each
+    later one the proposals of one step.
+    """
+
+    dimension = 2
+
+    def __init__(self):
+        self.batches = []
+
+    def log_density(self, points):
+        self.batches.append(np.array(points))
+        return np.where(points[:, 0] <= 0.0, 0.0, -np.inf)
+
+    def score(self, points):
+        return np.zeros_like(points)
+
+    def replay(self):
+        """The accept mask and the states after each step, (steps, C) and (steps, C, d)."""
+        state = self.batches[0]
+        accepts, states = [], []
+        for proposal in self.batches[1:]:
+            accept = proposal[:, 0] <= 0.0
+            state = np.where(accept[:, None], proposal, state)
+            accepts.append(accept)
+            states.append(state)
+        return np.array(accepts), np.array(states)
+
+
+class TestMalaOracleAccounting:
+    """Rows, not steps: C = min(64, n_draws) chains share n_draws and burn_in."""
+
+    @pytest.mark.parametrize("burn_in", [0, 1, 100])
+    @pytest.mark.parametrize(
+        "n_draws, chains, kept_steps",
+        [(1, 1, 1), (63, 63, 1), (64, 64, 1), (65, 64, 2), (500, 64, 8)],
+    )
+    def test_rows_kept_burnt_thinned_and_counted(self, n_draws, chains, kept_steps, burn_in):
+        burn_steps = math.ceil(burn_in / chains)
+        outs = {}
+        for store_every in (1, 7):
+            target = HalfPlaneTarget()
+            outs[store_every] = mala_chain_moments(
+                target, n_draws=n_draws, burn_in=burn_in, step_size=0.5, seed=5,
+                init=np.array([-0.5, 0.25]), store_every=store_every,
+            )
+            assert [len(b) for b in target.batches] == [chains] * (1 + burn_steps + kept_steps)
+            np.testing.assert_array_equal(target.batches[0], [[-0.5, 0.25]] * chains)
+        # Thinning does not touch the chains, so one replay serves both calls.
+        accepts, states = target.replay()
+        kept = states[burn_steps:].reshape(-1, 2)  # step-major, chain-minor
+        assert len(kept) == chains * kept_steps
+        np.testing.assert_array_equal(outs[1]["thinned"], kept)
+        np.testing.assert_array_equal(outs[7]["thinned"], kept[6::7])
+        assert len(outs[7]["thinned"]) == chains * kept_steps // 7
+        out = outs[7]
+        np.testing.assert_allclose(out["mean"], kept.mean(axis=0), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(
+            out["second_moment"], (kept * kept).mean(axis=0), rtol=1e-12, atol=1e-15)
+        assert out["acceptance_rate"] == accepts.sum() / (chains * (burn_steps + kept_steps))
+        np.testing.assert_array_equal(out["final_state"], states[-1, 0])
+
+    def test_zero_draws_rejected(self):
+        with pytest.raises(ValueError, match="n_draws"):
+            mala_chain_moments(standard_normal_target(2), n_draws=0, burn_in=10,
+                               step_size=0.1, seed=1)
 
 
 class TestSgldChains:
