@@ -9,7 +9,14 @@ Per-chain draw order is part of the contract:
 
 * init: d standard normals scaled by ``init_scale``;
 * MALA step: d proposal normals, then one acceptance uniform;
-* SGLD step: d noise normals, then the minibatch index draw.
+* SGLD step: d noise normals, then the minibatch index draw. A full batch
+  (``minibatch_size == n_data``) draws no indices: every chain's batch is
+  all the data, and a step draws only its noise.
+
+The samplers draw this randomness step by step, chain by chain, into
+buffers that each step reuses, so a run of n chains in d dimensions with
+minibatches of m holds O(n (d + m)) numbers of randomness whatever its
+number of steps.
 
 The moment oracle ``mala_chain_moments`` instead runs C = min(64,
 ``n_draws``) chains from the one generator ``default_rng(seed)``. Every
@@ -50,7 +57,7 @@ class ChainConfig:
     n_chains: int
     n_steps: int
     step_size: float
-    init_scale: float = 1.0
+    init_scale: float
     minibatch_size: int | None = None
     seed: int = 0
 
@@ -91,26 +98,20 @@ def sample_gmm_iid(mixture: GaussianMixture, n: int, seed) -> np.ndarray:
     return mixture.means[comp] + np.sqrt(mixture.variances[comp])[:, None] * eps
 
 
-def _pregenerate(
-    config: ChainConfig, dimension: int, step_draw, draw_shape=(), draw_dtype=float
-):
-    """Draw per-chain randomness up front so the dynamics can run chain-batched.
+def _chain_starts(config: ChainConfig, dimension: int):
+    """Each chain's generator and its init, the start of the draw order.
 
-    Chain c draws its init, then per step d noise normals followed by
-    ``step_draw(rng)``, one value of shape ``draw_shape`` (the acceptance
-    uniform for MALA, the minibatch indices for SGLD).
+    Chain c's init is d standard normals from its generator, scaled by
+    ``init_scale``. The samplers then draw each step's randomness from the
+    generators chain by chain: d noise normals, then the step draw. Each
+    draw fills a row view with ``out=``; passing the size as well costs
+    about a microsecond per call.
     """
-    c, t, d = config.n_chains, config.n_steps, dimension
-    inits = np.empty((c, d))
-    noise = np.empty((c, t, d))
-    draws = np.empty((c, t) + tuple(draw_shape), dtype=draw_dtype)
-    for i in range(c):
-        rng = _chain_generator(config.seed, i)
-        inits[i] = config.init_scale * rng.standard_normal(d)
-        for step in range(t):
-            noise[i, step] = rng.standard_normal(d)
-            draws[i, step] = step_draw(rng)
-    return inits, noise, draws
+    rngs = [_chain_generator(config.seed, c) for c in range(config.n_chains)]
+    inits = np.empty((config.n_chains, dimension))
+    for rng, row in zip(rngs, inits):
+        rng.standard_normal(out=row)
+    return rngs, config.init_scale * inits
 
 
 def _mala_step(target: ScoreTarget, x, log_p, score, eps: float, xi, uniforms):
@@ -148,15 +149,18 @@ def mala_chains(target: ScoreTarget, config: ChainConfig) -> np.ndarray:
     if target.log_density is None:
         raise ValueError("MALA needs a target log-density for the accept step")
     d = target.dimension
-    inits, noise, uniforms = _pregenerate(config, d, lambda rng: rng.uniform())
-    x = inits
+    rngs, x = _chain_starts(config, d)
+    noise = np.empty((config.n_chains, d))
+    uniforms = np.empty(config.n_chains)
+    chains = list(enumerate(zip(rngs, noise)))
     eps = config.step_size
     log_p = np.asarray(target.log_density(x), dtype=float)
     score = np.asarray(target.score(x), dtype=float)
-    for step in range(config.n_steps):
-        x, log_p, score, _ = _mala_step(
-            target, x, log_p, score, eps, noise[:, step], uniforms[:, step]
-        )
+    for _ in range(config.n_steps):
+        for c, (rng, row) in chains:
+            rng.standard_normal(out=row)
+            uniforms[c] = rng.uniform()
+        x, log_p, score, _ = _mala_step(target, x, log_p, score, eps, noise, uniforms)
     return x
 
 
@@ -171,7 +175,8 @@ def sgld_chains(model, config: ChainConfig) -> np.ndarray:
     with a fresh without-replacement minibatch per chain per step. The model
     must expose ``n_data``, ``dimension``, ``prior_score`` and
     ``data_score_minibatch``. With ``minibatch_size == n_data`` the drift is
-    the full-data gradient; with ``step_size == 0`` points do not move.
+    the full-data gradient and no indices are drawn; with ``step_size == 0``
+    points do not move.
 
     Raises :class:`~steinweights.errors.NonFinitePointsError`, naming the
     step and the first such chain, as soon as any chain is non-finite.
@@ -182,23 +187,27 @@ def sgld_chains(model, config: ChainConfig) -> np.ndarray:
     n_data = model.n_data
     if m > n_data:
         raise ValueError(f"minibatch_size {m} exceeds data size {n_data}")
-    x, noise, batches = _pregenerate(
-        config,
-        model.dimension,
-        lambda rng: rng.choice(n_data, size=m, replace=False),
-        draw_shape=(m,),
-        draw_dtype=np.int64,
-    )
+    d = model.dimension
+    rngs, x = _chain_starts(config, d)
+    noise = np.empty((config.n_chains, d))
+    minibatch = m < n_data
+    if minibatch:
+        batches = np.empty((config.n_chains, m), dtype=np.int64)
+    else:  # every chain's batch is all the data, so none is drawn
+        batches = np.broadcast_to(np.arange(n_data), (config.n_chains, n_data))
+    chains = list(zip(rngs, noise, batches))
     eps = config.step_size
     scale = n_data / m
     # A step that overflows leaves a non-finite chain, which raises below;
     # the error replaces numpy's floating-point warnings for that step.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for step in range(config.n_steps):
-            drift = model.prior_score(x) + scale * model.data_score_minibatch(
-                x, batches[:, step]
-            )
-            x = x + 0.5 * eps * drift + np.sqrt(eps) * noise[:, step]
+            for rng, row, batch in chains:
+                rng.standard_normal(out=row)
+                if minibatch:
+                    batch[...] = rng.choice(n_data, size=m, replace=False)
+            drift = model.prior_score(x) + scale * model.data_score_minibatch(x, batches)
+            x = x + 0.5 * eps * drift + np.sqrt(eps) * noise
             finite = np.all(np.isfinite(x), axis=1)
             if not finite.all():
                 chain = int(np.argmin(finite))
@@ -215,8 +224,8 @@ def mala_chain_moments(
     burn_in: int,
     step_size: float,
     seed: int,
+    store_every: int,
     init: np.ndarray | None = None,
-    store_every: int = 10,
 ) -> dict:
     """MALA moments from C = min(64, ``n_draws``) chains run as one batch.
 

@@ -208,8 +208,8 @@ def random_gaussian_mixture(
     n_components: int,
     dimension: int,
     seed: int,
-    mean_range: tuple[float, float] = (-5.0, 5.0),
-    variance_range: tuple[float, float] = (0.3, 1.0),
+    mean_range: tuple[float, float],
+    variance_range: tuple[float, float],
 ) -> GaussianMixture:
     """Draw a mixture with flat-Dirichlet weights and uniform means/variances.
 
@@ -245,7 +245,7 @@ class ProbitModel:
 
     features: np.ndarray
     labels: np.ndarray
-    prior_variance: float = 0.1
+    prior_variance: float
     true_coefficients: np.ndarray | None = field(default=None, compare=False)
     signs: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -323,8 +323,8 @@ def probit_simulate(
     n_data: int,
     dimension: int,
     seed: int,
+    prior_variance: float,
     coefficients: np.ndarray | None = None,
-    prior_variance: float = 0.1,
 ) -> ProbitModel:
     """Simulate a probit dataset with standard normal features.
 
@@ -358,7 +358,7 @@ def write_probit_dataset(path, model: ProbitModel) -> None:
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
-def read_probit_dataset(path, prior_variance: float = 0.1) -> ProbitModel:
+def read_probit_dataset(path, prior_variance: float) -> ProbitModel:
     """Read a dataset written by :func:`write_probit_dataset`.
 
     Expects a header row followed by d feature columns and one 0/1 label

@@ -15,14 +15,21 @@ package's float64 Gram.
 (d,) state, with its own proposal and Metropolis correction, and
 ``reference_mala_chains`` replays parallel MALA chains one at a time with
 it. ``frozen_many_chain_moments`` is the moment oracle's batch of chains,
-updated one row at a time with the same formulas. The package's samplers
-must match them bit for bit.
+updated one row at a time with the same formulas. ``frozen_sgld_chains``
+draws every chain's whole run up front, chain by chain, and then steps all
+chains as one batch. The package's samplers must match them bit for bit.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from steinweights.errors import NonFinitePointsError
+
+# The gmm_fixture target's default ranges, for tests that draw their own
+# mixtures with random_gaussian_mixture.
+GMM_RANGES = {"mean_range": (-5.0, 5.0), "variance_range": (0.3, 1.0)}
 
 
 def enumerate_qp_optimum(mat, lower_bound=0.0):
@@ -310,3 +317,63 @@ def reference_mala_chains(target, config):
         )
         finals.append(chain["final_state"])
     return np.array(finals)
+
+
+def _frozen_pregenerate(
+    config, dimension: int, step_draw, draw_shape=(), draw_dtype=float
+):
+    """Draw per-chain randomness up front so the dynamics can run chain-batched.
+
+    Chain c draws its init, then per step d noise normals followed by
+    ``step_draw(rng)``, one value of shape ``draw_shape`` (the acceptance
+    uniform for MALA, the minibatch indices for SGLD).
+    """
+    c, t, d = config.n_chains, config.n_steps, dimension
+    inits = np.empty((c, d))
+    noise = np.empty((c, t, d))
+    draws = np.empty((c, t) + tuple(draw_shape), dtype=draw_dtype)
+    for i in range(c):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(i,))
+        )
+        inits[i] = config.init_scale * rng.standard_normal(d)
+        for step in range(t):
+            noise[i, step] = rng.standard_normal(d)
+            draws[i, step] = step_draw(rng)
+    return inits, noise, draws
+
+
+def frozen_sgld_chains(model, config):
+    """SGLD chains with every chain's whole run drawn before the first step.
+
+    Each chain draws its init, then per step d noise normals followed by a
+    ``rng.choice(n_data, m, replace=False)`` minibatch, all into (n, T, d)
+    and (n, T, m) arrays; the steps then run all chains as one batch. At
+    ``minibatch_size == n_data`` it still draws every batch, which the
+    package's sampler does not.
+    """
+    m = config.minibatch_size
+    n_data = model.n_data
+    x, noise, batches = _frozen_pregenerate(
+        config,
+        model.dimension,
+        lambda rng: rng.choice(n_data, size=m, replace=False),
+        draw_shape=(m,),
+        draw_dtype=np.int64,
+    )
+    eps = config.step_size
+    scale = n_data / m
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for step in range(config.n_steps):
+            drift = model.prior_score(x) + scale * model.data_score_minibatch(
+                x, batches[:, step]
+            )
+            x = x + 0.5 * eps * drift + np.sqrt(eps) * noise[:, step]
+            finite = np.all(np.isfinite(x), axis=1)
+            if not finite.all():
+                chain = int(np.argmin(finite))
+                raise NonFinitePointsError(
+                    f"SGLD chain {chain} became non-finite at step {step + 1} "
+                    f"of {config.n_steps}"
+                )
+    return x

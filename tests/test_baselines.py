@@ -26,6 +26,8 @@ from steinweights.kernels import RbfKernel
 from steinweights.stein import SteinGram, stein_gram
 from steinweights.targets import random_gaussian_mixture, standard_normal_target
 
+from support import GMM_RANGES
+
 
 class TestUniform:
     def test_values(self):
@@ -107,7 +109,7 @@ class TestControlFunctional:
 
 class TestControlFunctionalFromFactor:
     def seeded_gram(self, n=200):
-        target = random_gaussian_mixture(6, 2, seed=3).as_target()
+        target = random_gaussian_mixture(6, 2, seed=3, **GMM_RANGES).as_target()
         pts = np.random.default_rng(2024).standard_normal((n, 2)) * 1.5
         return stein_gram(target, RbfKernel(1.0), pts)
 
@@ -211,13 +213,13 @@ class TestKdeWeights:
         assert w[0] == pytest.approx(w[2], rel=1e-14)
 
     def test_normalized_sums_to_one(self):
-        mix = random_gaussian_mixture(3, 2, seed=7)
+        mix = random_gaussian_mixture(3, 2, seed=7, **GMM_RANGES)
         pts = np.random.default_rng(4).standard_normal((40, 2))
         w = weights_kde(mix.as_target(), pts, normalize=True)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_true_proposal_reproduces_exact_is(self):
-        mix = random_gaussian_mixture(3, 2, seed=8)
+        mix = random_gaussian_mixture(3, 2, seed=8, **GMM_RANGES)
         target = mix.as_target()
         pts = np.random.default_rng(5).standard_normal((30, 2))
         w_kde = weights_kde(
@@ -229,13 +231,13 @@ class TestKdeWeights:
     def test_unnormalized_needs_normalized_density(self):
         from steinweights.targets import probit_simulate
 
-        model = probit_simulate(n_data=10, dimension=2, seed=3)
+        model = probit_simulate(n_data=10, dimension=2, seed=3, prior_variance=0.1)
         pts = np.random.default_rng(6).standard_normal((10, 2))
         with pytest.raises(UnsupportedConfigurationError):
             weights_kde(model.as_target(), pts, normalize=False)
 
     def test_coincident_points_degenerate(self):
-        mix = random_gaussian_mixture(2, 1, seed=9)
+        mix = random_gaussian_mixture(2, 1, seed=9, **GMM_RANGES)
         pts = np.zeros((5, 1))
         with pytest.raises((DegenerateWeightsError, ValueError)):
             weights_kde(mix.as_target(), pts, normalize=True)

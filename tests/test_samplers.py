@@ -2,12 +2,18 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from support import frozen_many_chain_moments, reference_mala_chains
+from support import (
+    GMM_RANGES,
+    frozen_many_chain_moments,
+    frozen_sgld_chains,
+    reference_mala_chains,
+)
 from steinweights.errors import NonFinitePointsError
 from steinweights.samplers import (
     ChainConfig,
@@ -23,31 +29,32 @@ from steinweights.targets import probit_simulate, random_gaussian_mixture, stand
 class TestChainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ChainConfig(n_chains=0, n_steps=1, step_size=0.1)
+            ChainConfig(n_chains=0, n_steps=1, step_size=0.1, init_scale=1.0)
         with pytest.raises(ValueError):
-            ChainConfig(n_chains=1, n_steps=-1, step_size=0.1)
+            ChainConfig(n_chains=1, n_steps=-1, step_size=0.1, init_scale=1.0)
         with pytest.raises(ValueError):
-            ChainConfig(n_chains=1, n_steps=1, step_size=-0.5)
+            ChainConfig(n_chains=1, n_steps=1, step_size=-0.5, init_scale=1.0)
         with pytest.raises(ValueError):
             ChainConfig(n_chains=1, n_steps=1, step_size=0.1, init_scale=-1.0)
 
 
 class TestIidSampling:
     def test_seed_determinism(self):
-        mix = random_gaussian_mixture(3, 2, seed=4)
+        mix = random_gaussian_mixture(3, 2, seed=4, **GMM_RANGES)
         a = sample_gmm_iid(mix, 50, np.random.default_rng(9))
         b = sample_gmm_iid(mix, 50, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
     def test_tight_component_concentrates_on_mean(self):
-        mix = random_gaussian_mixture(1, 2, seed=0, variance_range=(1e-4, 1e-4 + 1e-12))
+        mix = random_gaussian_mixture(
+            1, 2, seed=0, mean_range=(-5.0, 5.0), variance_range=(1e-4, 1e-4 + 1e-12))
         pts = sample_gmm_iid(mix, 100_000, np.random.default_rng(3))
         for axis in range(2):
             se = 4.0 * math.sqrt(1e-4) / math.sqrt(100_000)
             assert abs(pts[:, axis].mean() - mix.means[0, axis]) < 4 * se + 1e-6
 
     def test_second_moment_matches_oracle(self):
-        mix = random_gaussian_mixture(4, 2, seed=21)
+        mix = random_gaussian_mixture(4, 2, seed=21, **GMM_RANGES)
         mom = mix.moments()
         pts = sample_gmm_iid(mix, 100_000, np.random.default_rng(5))
         for axis in range(2):
@@ -67,15 +74,15 @@ class TestMalaChains:
 
     def test_seeded_determinism(self):
         target = standard_normal_target(2)
-        cfg = ChainConfig(n_chains=4, n_steps=25, step_size=0.3, seed=8)
+        cfg = ChainConfig(n_chains=4, n_steps=25, step_size=0.3, seed=8, init_scale=1.0)
         np.testing.assert_array_equal(mala_chains(target, cfg), mala_chains(target, cfg))
 
     def test_chain_prefix_stable_under_more_chains(self):
         # Chain c draws from its own spawned stream, so adding chains must
         # not disturb the earlier ones.
         target = standard_normal_target(2)
-        small = ChainConfig(n_chains=3, n_steps=10, step_size=0.4, seed=5)
-        big = ChainConfig(n_chains=8, n_steps=10, step_size=0.4, seed=5)
+        small = ChainConfig(n_chains=3, n_steps=10, step_size=0.4, seed=5, init_scale=1.0)
+        big = ChainConfig(n_chains=8, n_steps=10, step_size=0.4, seed=5, init_scale=1.0)
         np.testing.assert_array_equal(
             mala_chains(target, small), mala_chains(target, big)[:3]
         )
@@ -84,19 +91,20 @@ class TestMalaChains:
         # With eps = 0 the proposal equals the current point, its acceptance
         # ratio is exactly one, and every chain keeps its initial draw.
         target = standard_normal_target(2)
-        moved = ChainConfig(n_chains=4, n_steps=15, step_size=0.0, seed=12)
-        still = ChainConfig(n_chains=4, n_steps=0, step_size=0.0, seed=12)
+        moved = ChainConfig(n_chains=4, n_steps=15, step_size=0.0, seed=12, init_scale=1.0)
+        still = ChainConfig(n_chains=4, n_steps=0, step_size=0.0, seed=12, init_scale=1.0)
         np.testing.assert_array_equal(mala_chains(target, moved), mala_chains(target, still))
 
     def test_zero_step_size_accepts_every_proposal(self):
         target = standard_normal_target(2)
-        out = mala_chain_moments(target, n_draws=200, burn_in=20, step_size=0.0, seed=3)
+        out = mala_chain_moments(
+            target, n_draws=200, burn_in=20, step_size=0.0, seed=3, store_every=10)
         assert out["acceptance_rate"] == 1.0
 
     def test_long_run_equilibrium_variance(self):
         target = standard_normal_target(1)
         out = mala_chain_moments(
-            target, n_draws=100_000, burn_in=1_000, step_size=0.5, seed=77
+            target, n_draws=100_000, burn_in=1_000, step_size=0.5, seed=77, store_every=10
         )
         var = out["second_moment"][0] - out["mean"][0] ** 2
         assert abs(var - 1.0) < 0.05
@@ -106,8 +114,8 @@ class TestMalaChains:
 class TestMalaReference:
     """The package's MALA chains against the loops in tests/support.py."""
 
-    PROBIT = probit_simulate(n_data=100, dimension=10, seed=42).as_target()
-    MIXTURE = random_gaussian_mixture(4, 3, seed=9).as_target()
+    PROBIT = probit_simulate(n_data=100, dimension=10, seed=42, prior_variance=0.1).as_target()
+    MIXTURE = random_gaussian_mixture(4, 3, seed=9, **GMM_RANGES).as_target()
 
     @pytest.mark.parametrize(
         "target, step_size, init",
@@ -214,16 +222,16 @@ class TestMalaOracleAccounting:
     def test_zero_draws_rejected(self):
         with pytest.raises(ValueError, match="n_draws"):
             mala_chain_moments(standard_normal_target(2), n_draws=0, burn_in=10,
-                               step_size=0.1, seed=1)
+                               step_size=0.1, seed=1, store_every=10)
 
 
 class TestSgldChains:
     def test_zero_step_size_returns_inits(self):
         # With eps = 0 both the drift and the injected noise vanish, so the
         # chains sit at their initial draws for any number of steps.
-        model = probit_simulate(n_data=40, dimension=3, seed=2)
+        model = probit_simulate(n_data=40, dimension=3, seed=2, prior_variance=0.1)
         cfg = ChainConfig(
-            n_chains=6, n_steps=20, step_size=0.0, minibatch_size=10, seed=13
+            n_chains=6, n_steps=20, step_size=0.0, minibatch_size=10, seed=13, init_scale=1.0
         )
         pts = sgld_chains(model, cfg)
         from numpy.random import SeedSequence, default_rng
@@ -235,14 +243,14 @@ class TestSgldChains:
         np.testing.assert_array_equal(pts, inits)
 
     def test_full_batch_matches_manual_langevin(self):
-        model = probit_simulate(n_data=15, dimension=2, seed=6)
+        model = probit_simulate(n_data=15, dimension=2, seed=6, prior_variance=0.1)
         cfg = ChainConfig(
-            n_chains=3, n_steps=8, step_size=0.01, minibatch_size=15, seed=19
+            n_chains=3, n_steps=8, step_size=0.01, minibatch_size=15, seed=19, init_scale=1.0
         )
         pts = sgld_chains(model, cfg)
 
         # Replay the documented draw order per chain: init, then per step
-        # d noise normals followed by the minibatch choice.
+        # d noise normals. A full batch draws no minibatch indices.
         from numpy.random import SeedSequence, default_rng
 
         replay = np.empty((3, 2))
@@ -252,7 +260,6 @@ class TestSgldChains:
             noises = []
             for _ in range(8):
                 noises.append(rng.standard_normal(2))
-                rng.choice(15, size=15, replace=False)
             for step in range(8):
                 drift = model.prior_score(x[None, :])[0] + model.score(
                     x[None, :]
@@ -262,25 +269,71 @@ class TestSgldChains:
         np.testing.assert_allclose(pts, replay, atol=1e-10)
 
     def test_minibatch_larger_than_data_rejected(self):
-        model = probit_simulate(n_data=10, dimension=2, seed=1)
+        model = probit_simulate(n_data=10, dimension=2, seed=1, prior_variance=0.1)
         cfg = ChainConfig(
-            n_chains=2, n_steps=5, step_size=0.01, minibatch_size=11, seed=3
+            n_chains=2, n_steps=5, step_size=0.01, minibatch_size=11, seed=3, init_scale=1.0
         )
         with pytest.raises(ValueError):
             sgld_chains(model, cfg)
 
     def test_missing_minibatch_rejected(self):
-        model = probit_simulate(n_data=10, dimension=2, seed=1)
-        cfg = ChainConfig(n_chains=2, n_steps=5, step_size=0.01, seed=3)
+        model = probit_simulate(n_data=10, dimension=2, seed=1, prior_variance=0.1)
+        cfg = ChainConfig(n_chains=2, n_steps=5, step_size=0.01, seed=3, init_scale=1.0)
         with pytest.raises(ValueError):
             sgld_chains(model, cfg)
 
     def test_seeded_determinism(self):
-        model = probit_simulate(n_data=30, dimension=4, seed=14)
+        model = probit_simulate(n_data=30, dimension=4, seed=14, prior_variance=0.1)
         cfg = ChainConfig(
-            n_chains=5, n_steps=15, step_size=0.02, minibatch_size=10, seed=23
+            n_chains=5, n_steps=15, step_size=0.02, minibatch_size=10, seed=23, init_scale=1.0
         )
         np.testing.assert_array_equal(sgld_chains(model, cfg), sgld_chains(model, cfg))
+
+
+class TestSgldReference:
+    """The step-major SGLD sampler against the run-up-front loop in tests/support.py."""
+
+    MODEL = probit_simulate(n_data=30, dimension=4, seed=14, prior_variance=0.1)
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 25])
+    @pytest.mark.parametrize("n_chains", [1, 3, 17])
+    def test_matches_frozen_pregeneration(self, n_chains, n_steps):
+        cfg = ChainConfig(n_chains=n_chains, n_steps=n_steps, step_size=0.02,
+                          init_scale=1.5, minibatch_size=10, seed=23)
+        np.testing.assert_array_equal(
+            sgld_chains(self.MODEL, cfg), frozen_sgld_chains(self.MODEL, cfg))
+
+
+def _peak_bytes(run) -> int:
+    """Peak traced allocation of one ``run()`` call, above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestChainMemory:
+    """A chain run holds one step of randomness, whatever its number of steps."""
+
+    MODEL = probit_simulate(n_data=50, dimension=3, seed=42, prior_variance=0.1)
+
+    @pytest.mark.parametrize("sampler", ["sgld", "mala"])
+    def test_peak_does_not_grow_with_steps(self, sampler):
+        def run(n_steps):
+            cfg = ChainConfig(n_chains=100, n_steps=n_steps, step_size=0.001,
+                              init_scale=0.1, minibatch_size=20, seed=3)
+            if sampler == "sgld":
+                return sgld_chains(self.MODEL, cfg)
+            return mala_chains(self.MODEL.as_target(), cfg)
+
+        run(2)  # warm up one-time allocations
+        short = _peak_bytes(lambda: run(20))
+        long = _peak_bytes(lambda: run(400))
+        assert long < 2 * short, (short, long)
 
 
 class CountingModel:
@@ -301,11 +354,11 @@ class CountingModel:
 class TestSgldDivergence:
     def config(self, n_steps):
         return ChainConfig(
-            n_chains=20, n_steps=n_steps, step_size=1e3, minibatch_size=50, seed=5
+            n_chains=20, n_steps=n_steps, step_size=1e3, minibatch_size=50, seed=5, init_scale=1.0
         )
 
     def test_stops_at_first_non_finite_step(self):
-        model = CountingModel(probit_simulate(n_data=50, dimension=3, seed=42))
+        model = CountingModel(probit_simulate(n_data=50, dimension=3, seed=42, prior_variance=0.1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFinitePointsError) as info:
@@ -325,6 +378,6 @@ class TestStepTuning:
         eps, state = tune_mala_step(target, seed=3)
         assert eps > 0.0
         out = mala_chain_moments(
-            target, n_draws=5_000, burn_in=500, step_size=eps, seed=4, init=state
+            target, n_draws=5_000, burn_in=500, step_size=eps, seed=4, init=state, store_every=10
         )
         assert 0.3 < out["acceptance_rate"] < 0.8

@@ -10,7 +10,7 @@ from steinweights.samplers import sample_gmm_iid
 from steinweights.simplex_qp import _ARMIJO_FRACTION, _MAX_BACKTRACKS, QpProblem, solve
 from steinweights.stein import SteinGram, _gram_product, stein_gram
 from steinweights.targets import random_gaussian_mixture, standard_normal_target
-from support import enumerate_qp_optimum, grid_qp_optimum, random_psd
+from support import GMM_RANGES, enumerate_qp_optimum, grid_qp_optimum, random_psd
 
 
 class TestClosedFormCases:
@@ -93,7 +93,7 @@ class TestDispatch:
             QpProblem(gram=np.eye(3), lower_bound=0.5)
 
     def test_stein_gram_matrix_used_without_copy(self):
-        target = random_gaussian_mixture(3, 2, seed=1).as_target()
+        target = random_gaussian_mixture(3, 2, seed=1, **GMM_RANGES).as_target()
         pts = np.random.default_rng(3).standard_normal((30, 2))
         gram = stein_gram(target, RbfKernel(1.0), pts)
         assert QpProblem(gram=gram).gram is gram.matrix
@@ -220,7 +220,7 @@ def _reference_mirror_descent(problem, max_iters, tol=1e-10, product=None, growt
 def _stein_gram_matrix(n=100, seed=0):
     """Stein Gram on iid draws from the criterion-05 target."""
     target = random_gaussian_mixture(
-        n_components=20, dimension=2, seed=3, mean_range=(-3.0, 3.0)
+        n_components=20, dimension=2, seed=3, mean_range=(-3.0, 3.0), variance_range=(0.3, 1.0)
     )
     points = sample_gmm_iid(target, n, np.random.default_rng(seed))
     kernel = RbfKernel(median_heuristic_bandwidth(points))

@@ -25,7 +25,7 @@ from steinweights.targets import (
     standard_normal_target,
 )
 
-from support import longdouble_stein_gram
+from support import GMM_RANGES, longdouble_stein_gram
 
 # A float64 Gram entry may differ from the extended-precision pair formula
 # by this many eps times the largest entry of the Gram.
@@ -161,7 +161,7 @@ def unblocked_stein_matrix(target, kernel, pts):
 def mixture_points(n, seed, d=2, shift=0.0):
     """A mixture target and a point cloud, both shifted by ``shift``."""
     mixture = random_gaussian_mixture(
-        n_components=20, dimension=d, seed=3, mean_range=(-3.0, 3.0)
+        n_components=20, dimension=d, seed=3, mean_range=(-3.0, 3.0), variance_range=(0.3, 1.0)
     )
     shifted = GaussianMixture(
         weights=mixture.weights, means=mixture.means + shift, variances=mixture.variances
@@ -318,7 +318,7 @@ class TestKsdWeighted:
     def test_symmetric_product_matches_full_quadratic_form(self):
         # A SteinGram's w' K w reads one triangle through dsymv; it moves
         # the full product only by rounding, for C- and F-ordered Grams.
-        target = random_gaussian_mixture(3, 2, seed=1).as_target()
+        target = random_gaussian_mixture(3, 2, seed=1, **GMM_RANGES).as_target()
         rng = np.random.default_rng(12)
         for n in (1, 2, 50, 300):
             gram = stein_gram(target, RbfKernel(1.5), rng.standard_normal((n, 2)))

@@ -17,7 +17,7 @@ from steinweights.targets import (
     standard_normal_target,
     write_probit_dataset,
 )
-from support import central_difference
+from support import GMM_RANGES, central_difference
 
 
 def two_sided_mixture(mu=1.0, var=0.01):
@@ -44,7 +44,7 @@ class TestMixtureBasics:
 
     def test_score_matches_finite_differences(self):
         for seed in range(10):
-            mix = random_gaussian_mixture(3, 2, seed=seed)
+            mix = random_gaussian_mixture(3, 2, seed=seed, **GMM_RANGES)
             rng = np.random.default_rng(1000 + seed)
             for _ in range(10):
                 x = rng.uniform(-5, 5, size=2)
@@ -88,7 +88,7 @@ class TestMixtureMoments:
         np.testing.assert_allclose(mom.second_moment, [1.01], atol=1e-15)
 
     def test_moments_match_monte_carlo(self):
-        mix = random_gaussian_mixture(4, 2, seed=11)
+        mix = random_gaussian_mixture(4, 2, seed=11, **GMM_RANGES)
         mom = mix.moments()
         rng = np.random.default_rng(99)
         n = 1_000_000
@@ -108,11 +108,11 @@ class TestMixtureMoments:
 
 class TestGaussianityInterpolation:
     def test_lambda_zero_is_same_object(self):
-        mix = random_gaussian_mixture(3, 2, seed=0)
+        mix = random_gaussian_mixture(3, 2, seed=0, **GMM_RANGES)
         assert gaussianity_interpolation(mix, 0.0) is mix
 
     def test_lambda_one_is_standard_normal(self):
-        mix = random_gaussian_mixture(5, 2, seed=1)
+        mix = random_gaussian_mixture(5, 2, seed=1, **GMM_RANGES)
         out = gaussianity_interpolation(mix, 1.0)
         np.testing.assert_array_equal(out.means, np.zeros_like(out.means))
         np.testing.assert_array_equal(out.variances, np.ones_like(out.variances))
@@ -129,21 +129,22 @@ class TestGaussianityInterpolation:
         np.testing.assert_allclose(out.variances, [0.5], atol=1e-15)
 
     def test_rejects_out_of_range(self):
-        mix = random_gaussian_mixture(2, 1, seed=2)
+        mix = random_gaussian_mixture(2, 1, seed=2, **GMM_RANGES)
         with pytest.raises(ValueError):
             gaussianity_interpolation(mix, 1.5)
 
 
 class TestRandomMixture:
     def test_seed_determinism(self):
-        a = random_gaussian_mixture(6, 3, seed=42)
-        b = random_gaussian_mixture(6, 3, seed=42)
+        a = random_gaussian_mixture(6, 3, seed=42, **GMM_RANGES)
+        b = random_gaussian_mixture(6, 3, seed=42, **GMM_RANGES)
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.variances, b.variances)
 
     def test_ranges_respected(self):
-        mix = random_gaussian_mixture(20, 2, seed=5, mean_range=(-3.0, 3.0))
+        mix = random_gaussian_mixture(
+            20, 2, seed=5, mean_range=(-3.0, 3.0), variance_range=(0.3, 1.0))
         assert mix.means.min() >= -3.0 and mix.means.max() <= 3.0
         assert mix.variances.min() >= 0.3 and mix.variances.max() <= 1.0
         assert mix.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -170,7 +171,7 @@ class TestProbitModel:
         np.testing.assert_allclose(model.score(x), [[expect, 0.0]], atol=1e-10)
 
     def test_score_matches_finite_differences(self):
-        model = probit_simulate(n_data=20, dimension=3, seed=9)
+        model = probit_simulate(n_data=20, dimension=3, seed=9, prior_variance=0.1)
         rng = np.random.default_rng(17)
         for _ in range(20):
             x = rng.standard_normal(3) * 0.5
@@ -225,7 +226,7 @@ def full_data_minibatch_score(model, pts, idx):
 
 class TestProbitSingleSign:
     def setup_method(self):
-        self.model = probit_simulate(n_data=60, dimension=4, seed=21)
+        self.model = probit_simulate(n_data=60, dimension=4, seed=21, prior_variance=0.1)
         # Wide enough to reach both Mills-ratio tails for either label.
         self.pts = np.random.default_rng(5).standard_normal((7, 4)) * 3.0
 
@@ -277,22 +278,22 @@ class TestProbitSingleSign:
 
 class TestProbitSimulate:
     def test_seed_determinism(self):
-        a = probit_simulate(n_data=30, dimension=4, seed=3)
-        b = probit_simulate(n_data=30, dimension=4, seed=3)
+        a = probit_simulate(n_data=30, dimension=4, seed=3, prior_variance=0.1)
+        b = probit_simulate(n_data=30, dimension=4, seed=3, prior_variance=0.1)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.true_coefficients, b.true_coefficients)
 
     def test_zero_coefficients_balanced_labels(self):
         model = probit_simulate(
-            n_data=10_000, dimension=2, seed=8, coefficients=np.zeros(2)
+            n_data=10_000, dimension=2, seed=8, coefficients=np.zeros(2), prior_variance=0.1
         )
         rate = model.labels.mean()
         sigma = math.sqrt(0.25 / 10_000)
         assert abs(rate - 0.5) < 4 * sigma
 
     def test_dataset_round_trip(self, tmp_path):
-        model = probit_simulate(n_data=25, dimension=3, seed=12)
+        model = probit_simulate(n_data=25, dimension=3, seed=12, prior_variance=0.1)
         path = tmp_path / "probit.csv"
         write_probit_dataset(str(path), model)
         clone = read_probit_dataset(str(path), prior_variance=model.prior_variance)
@@ -336,7 +337,7 @@ class TestMixtureLogSumExp:
     def test_mixture_calls_equal_scipy_path(self):
         from scipy.special import logsumexp
 
-        mix = random_gaussian_mixture(7, 3, seed=4)
+        mix = random_gaussian_mixture(7, 3, seed=4, **GMM_RANGES)
         pts = np.random.default_rng(5).standard_normal((40, 3)) * 3.0
         comp = mix._component_log_densities(pts) + np.log(mix.weights)[None, :]
         np.testing.assert_array_equal(mix.log_density(pts), logsumexp(comp, axis=1))
