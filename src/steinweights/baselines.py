@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .kernels import _exponent_tile, _sq_dist_factors, _upper_tiles
-from .stein import ScoreTarget, SteinGram, _gram_product, _psd_ridge, _ridge_cholesky
+from .stein import ScoreTarget, SteinGram, _gram_product, _ridge_cholesky
 
 __all__ = [
     "weights_uniform",
@@ -95,47 +95,38 @@ def _system_abs_max(mat: np.ndarray, lam: float) -> float:
 
 
 def weights_control_functional(
-    gram: SteinGram | np.ndarray,
+    gram: SteinGram,
     lam: float | None = None,
     normalize: bool = False,
 ) -> np.ndarray:
     """Solve (K_p + ones + lam I) w = 1 for control-functional weights.
 
-    ``lam`` defaults to 1e-8 * n * max(diag K_p), which is the ridge of the
-    Gram's PSD check. With A = K_p + lam I positive definite, the solve is
-    Sherman-Morrison from a Cholesky factor of A: u = A^-1 1 and
-    w = u / (1 + 1'u). For a :class:`SteinGram` at its ridge that factor is
-    the one construction already computed, so the solve is two triangular
-    solves. The weights may be negative and need not sum to one;
-    ``normalize`` divides by the sum. If A has no Cholesky factor, or the
-    residual is too large, least squares takes over: a singular but
-    consistent system at lam = 0 gets the minimum-norm solution; an
-    inconsistent one raises :class:`SolverError` advising a positive lam.
+    ``lam`` defaults to ``gram.ridge``, 1e-8 * n * max(diag K_p), the ridge
+    of the Gram's PSD check. With A = K_p + lam I positive definite, the
+    solve is Sherman-Morrison from a Cholesky factor of A: u = A^-1 1 and
+    w = u / (1 + 1'u). At the Gram's ridge that factor is ``gram.factor``,
+    which construction already computed, so the solve is two triangular
+    solves; any other lam factors A afresh. The weights may be negative
+    and need not sum to one; ``normalize`` divides by the sum. If A has no
+    Cholesky factor, or the residual is too large, least squares takes
+    over: a singular but consistent system at lam = 0 gets the
+    minimum-norm solution; an inconsistent one raises :class:`SolverError`
+    advising a positive lam.
     """
-    mat = gram.matrix if isinstance(gram, SteinGram) else np.asarray(gram, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"gram must be square, got {mat.shape}")
+    mat = gram.matrix
     n = mat.shape[0]
-    if lam is None:
-        lam = _psd_ridge(mat)
-    lam = float(lam)
+    lam = gram.ridge if lam is None else float(lam)
     if lam < 0.0 or not np.isfinite(lam):
         raise ValueError("lam must be nonnegative and finite")
-    if isinstance(gram, SteinGram) and lam == gram.ridge:
-        factor = gram.factor
-    else:
-        factor = _ridge_cholesky(mat, lam)
+    factor = gram.factor if lam == gram.ridge else _ridge_cholesky(mat, lam)
     rhs = np.ones(n)
     weights = None
     if factor is not None:
         u, _ = lapack.dpotrs(factor, rhs, lower=1)
         weights = u / (1.0 + float(u.sum()))
 
-    symmetric = isinstance(gram, SteinGram)
-
     def residual(w: np.ndarray) -> float:
-        # A SteinGram is exactly symmetric: its K w reads one triangle.
-        kw = _gram_product(mat, w) if symmetric else mat @ w
+        kw = _gram_product(mat, w)
         return float(np.max(np.abs(kw + float(w.sum()) + lam * w - rhs)))
 
     tol = 1e-8 * n * max(1.0, _system_abs_max(mat, lam))

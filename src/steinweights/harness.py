@@ -110,9 +110,9 @@ class ExperimentConfig:
     trials: int
     test_functions: tuple
     seed: int
-    output_dir: str | None = None
-    ground_truth: dict | None = None
-    record_timing: bool = False
+    output_dir: str | None
+    ground_truth: dict | None
+    record_timing: bool
 
     def __post_init__(self):
         parsed = parse_spec("config", {f.name: getattr(self, f.name) for f in fields(self)})

@@ -80,6 +80,10 @@ def _check_number(name: str, value, kind: type, minimum: float) -> None:
 
 # Chains in one mala_chain_moments batch; fewer draws run one chain each.
 _ORACLE_CHAINS = 64
+# tune_mala_step's first step size and the acceptance rate it steers
+# toward, the optimal MALA rate of Roberts & Rosenthal (1998).
+_TUNE_INITIAL_STEP = 0.1
+_TUNE_TARGET_ACCEPT = 0.574
 
 
 def _chain_generator(seed: int, chain: int) -> np.random.Generator:
@@ -173,10 +177,12 @@ def sgld_chains(model, config: ChainConfig) -> np.ndarray:
                + sqrt(eps) xi
 
     with a fresh without-replacement minibatch per chain per step. The model
-    must expose ``n_data``, ``dimension``, ``prior_score`` and
-    ``data_score_minibatch``. With ``minibatch_size == n_data`` the drift is
-    the full-data gradient and no indices are drawn; with ``step_size == 0``
-    points do not move.
+    must expose ``n_data``, ``dimension`` and ``score`` (prior plus
+    full-data log-likelihood gradient), and, for ``minibatch_size <
+    n_data``, ``prior_score`` and ``data_score_minibatch``. With
+    ``minibatch_size == n_data`` the drift is ``score(x)``, the full-data
+    gradient, and no indices are drawn; with ``step_size == 0`` points do
+    not move.
 
     Raises :class:`~steinweights.errors.NonFinitePointsError`, naming the
     step and the first such chain, as soon as any chain is non-finite.
@@ -191,10 +197,9 @@ def sgld_chains(model, config: ChainConfig) -> np.ndarray:
     rngs, x = _chain_starts(config, d)
     noise = np.empty((config.n_chains, d))
     minibatch = m < n_data
-    if minibatch:
-        batches = np.empty((config.n_chains, m), dtype=np.int64)
-    else:  # every chain's batch is all the data, so none is drawn
-        batches = np.broadcast_to(np.arange(n_data), (config.n_chains, n_data))
+    # At the full batch every chain's batch is all the data, so no indices
+    # are drawn and the drift is the full score.
+    batches = np.empty((config.n_chains, m if minibatch else 0), dtype=np.int64)
     chains = list(zip(rngs, noise, batches))
     eps = config.step_size
     scale = n_data / m
@@ -206,7 +211,10 @@ def sgld_chains(model, config: ChainConfig) -> np.ndarray:
                 rng.standard_normal(out=row)
                 if minibatch:
                     batch[...] = rng.choice(n_data, size=m, replace=False)
-            drift = model.prior_score(x) + scale * model.data_score_minibatch(x, batches)
+            if minibatch:
+                drift = model.prior_score(x) + scale * model.data_score_minibatch(x, batches)
+            else:
+                drift = model.score(x)
             x = x + 0.5 * eps * drift + np.sqrt(eps) * noise
             finite = np.all(np.isfinite(x), axis=1)
             if not finite.all():
@@ -288,24 +296,20 @@ def mala_chain_moments(
 def tune_mala_step(
     target: ScoreTarget,
     seed: int,
-    init: np.ndarray | None = None,
-    initial_step: float = 0.1,
-    target_accept: float = 0.574,
     pilot_steps: int = 500,
     rounds: int = 12,
 ) -> tuple[float, np.ndarray]:
-    """Adapt the MALA step size toward a target acceptance rate.
+    """Adapt the MALA step size toward the acceptance rate 0.574.
 
-    Runs ``rounds`` pilot calls of ``mala_chain_moments``, each of
-    ``pilot_steps`` rows across its batch of chains, and after each nudges
-    log(step) by the acceptance error. Every round starts all its chains at
-    chain 0's last state from the round before. Returns the tuned step and
-    that state of the last round, which makes a warm start for the
-    production run.
+    Starting from step 0.1 at the origin, runs ``rounds`` pilot calls of
+    ``mala_chain_moments``, each of ``pilot_steps`` rows across its batch
+    of chains, and after each nudges log(step) by the acceptance error.
+    Every round starts all its chains at chain 0's last state from the
+    round before. Returns the tuned step and that state of the last round,
+    which makes a warm start for the production run.
     """
-    d = target.dimension
-    eps = float(initial_step)
-    state = np.zeros(d) if init is None else np.asarray(init, dtype=float)
+    eps = _TUNE_INITIAL_STEP
+    state = np.zeros(target.dimension)
     for r in range(rounds):
         result = mala_chain_moments(
             target,
@@ -317,5 +321,5 @@ def tune_mala_step(
             store_every=0,
         )
         state = result["final_state"]
-        eps *= float(np.exp(result["acceptance_rate"] - target_accept))
+        eps *= float(np.exp(result["acceptance_rate"] - _TUNE_TARGET_ACCEPT))
     return eps, state

@@ -47,30 +47,21 @@ _ETA_GROWTH = 1.25
 class QpProblem:
     """Quadratic program min w' K w subject to sum(w) = 1, w_i >= lower_bound.
 
-    ``gram`` may be a :class:`SteinGram` or a plain square array; a plain
-    array is stored as its symmetric part 0.5 (K + K'), which is all that
-    enters the quadratic form and is exactly symmetric. A SteinGram's
-    matrix is used as is: it is already finite and exactly symmetric. The
-    stored matrix is C- or F-contiguous, so the solver's symmetric products
-    take it without a copy; a SteinGram matrix in any other layout is made
-    contiguous once, here. ``lower_bound`` must satisfy n * lower_bound <= 1
-    so the region is non-empty; zero gives the probability simplex.
+    ``gram`` is a :class:`SteinGram`, whose matrix is already finite,
+    exactly symmetric and contiguous. Construction replaces ``gram`` with
+    that matrix, which the solver's symmetric products take without a
+    copy. Wrap any other matrix as ``SteinGram(matrix)``. ``lower_bound``
+    must satisfy n * lower_bound <= 1 so the region is non-empty; zero
+    gives the probability simplex.
     """
 
-    gram: np.ndarray
+    gram: SteinGram
     lower_bound: float = 0.0
 
     def __post_init__(self):
-        validated = isinstance(self.gram, SteinGram)
-        mat = self.gram.matrix if validated else np.asarray(self.gram, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
-            raise ValueError(f"gram must be a non-empty square matrix, got {mat.shape}")
-        if not validated:
-            if not np.all(np.isfinite(mat)):
-                raise ValueError("gram must be finite")
-            mat = 0.5 * (mat + mat.T)
-        if not (mat.flags.c_contiguous or mat.flags.f_contiguous):
-            mat = np.ascontiguousarray(mat)
+        mat = self.gram.matrix
+        if mat.shape[0] < 1:
+            raise ValueError(f"gram must be non-empty, got shape {mat.shape}")
         object.__setattr__(self, "gram", mat)
         lb = float(self.lower_bound)
         if not np.isfinite(lb):

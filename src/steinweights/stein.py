@@ -124,11 +124,6 @@ def _gram_product(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return blas.dsymv(1.0, mat.T if mat.flags.c_contiguous else mat, x)
 
 
-def _psd_ridge(mat: np.ndarray) -> float:
-    """PSD slack of a non-empty square matrix, 1e-8 * n * max(diag, 0)."""
-    return _PSD_RTOL * mat.shape[0] * max(float(np.max(np.diag(mat))), 0.0)
-
-
 def _ridge_cholesky(mat: np.ndarray, ridge: float) -> np.ndarray | None:
     """Lower Cholesky factor of mat + ridge * I, or None if it does not exist.
 
@@ -146,18 +141,21 @@ def _ridge_cholesky(mat: np.ndarray, ridge: float) -> np.ndarray | None:
 class SteinGram:
     """Symmetric PSD Gram matrix of the score-weighted kernel on a point set.
 
-    Construction validates symmetry to 1e-12 relative to the largest entry
-    and stores the symmetric part, so ``matrix`` is exactly symmetric.
-    At every n it then checks the smallest eigenvalue against -ridge, with
-    ``ridge`` = 1e-8 * n * max(diag): one Cholesky factorization of
-    K + ridge * I accepts the matrix, and only if it fails does an
-    eigensolve decide. ``factor`` keeps that lower Cholesky factor (None if
-    the factorization failed on an accepted matrix, such as the zero
-    matrix) for solves with K + ridge * I.
+    The one Gram type that :func:`ksd_weighted`, the simplex solver and the
+    control-functional weights take; wrap your own matrix as
+    ``SteinGram(matrix)``. Construction validates symmetry to 1e-12
+    relative to the largest entry and stores the symmetric part, so
+    ``matrix`` is exactly symmetric; it is also C- or F-contiguous (any
+    other layout is copied once, here), so every BLAS ``dsymv`` takes it
+    without a copy. At every n it then checks the smallest eigenvalue
+    against -ridge, with ``ridge`` = 1e-8 * n * max(diag, 0): one Cholesky
+    factorization of K + ridge * I accepts the matrix, and only if it
+    fails does an eigensolve decide. ``factor`` keeps that lower Cholesky
+    factor (None if the factorization failed on an accepted matrix, such
+    as the zero matrix) for solves with K + ridge * I.
     """
 
     matrix: np.ndarray
-    kernel: RbfKernel
     # Set only by stein_gram, whose output is exactly symmetric by
     # construction, to skip the O(n^2) symmetry comparison.
     _mirrored: InitVar[bool] = False
@@ -179,10 +177,12 @@ class SteinGram:
                 )
             if asym:
                 mat = 0.5 * (mat + mat.T)
+        if not (mat.flags.c_contiguous or mat.flags.f_contiguous):
+            mat = np.ascontiguousarray(mat)
         object.__setattr__(self, "matrix", mat)
         ridge, factor = 0.0, None
         if mat.size:
-            ridge = _psd_ridge(mat)
+            ridge = _PSD_RTOL * mat.shape[0] * max(float(np.max(np.diag(mat))), 0.0)
             factor = _ridge_cholesky(mat, ridge)
             if factor is None:
                 lam_min = float(np.linalg.eigvalsh(mat)[0])
@@ -307,19 +307,19 @@ def stein_gram(target: ScoreTarget, kernel: RbfKernel, points: np.ndarray) -> St
             np.copyto(out[rows, rows], tile.T, where=_STRICT_LOWER[:m, :m])
         else:
             out[cols, rows] = tile.T
-    return SteinGram(matrix=out, kernel=kernel, _mirrored=True)
+    return SteinGram(matrix=out, _mirrored=True)
 
 
-def ksd_weighted(gram: SteinGram | np.ndarray, weights: np.ndarray) -> float:
+def ksd_weighted(gram: SteinGram, weights: np.ndarray) -> float:
     """Weighted squared discrepancy w' K_p w.
 
-    A :class:`SteinGram` matrix is exactly symmetric, so its K_p w is one
-    BLAS ``dsymv`` that reads one triangle; a plain array is used as given.
-    Small negative values from rounding, within 1e-10 * n * max(diag), clamp
-    to zero. Anything more negative indicates a broken Gram matrix and
-    raises :class:`GramIntegrityError`.
+    The Gram's matrix is exactly symmetric and contiguous, so K_p w is one
+    BLAS ``dsymv`` that reads one triangle, without a copy. Small negative
+    values from rounding, within 1e-10 * n * max(diag), clamp to zero.
+    Anything more negative indicates a broken Gram matrix and raises
+    :class:`GramIntegrityError`.
     """
-    mat = gram.matrix if isinstance(gram, SteinGram) else np.asarray(gram, dtype=float)
+    mat = gram.matrix
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.shape[0] != mat.shape[0]:
         raise ValueError(
@@ -327,10 +327,7 @@ def ksd_weighted(gram: SteinGram | np.ndarray, weights: np.ndarray) -> float:
         )
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    if isinstance(gram, SteinGram):
-        raw = float(w @ _gram_product(mat, w))
-    else:
-        raw = float(w @ mat @ w)
+    raw = float(w @ _gram_product(mat, w))
     n = mat.shape[0]
     slack = _KSD_CLAMP_RTOL * n * max(float(np.max(np.diag(mat))), 0.0)
     if raw < -slack:

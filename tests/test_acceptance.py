@@ -20,7 +20,7 @@ from steinweights.harness import (
 )
 from steinweights.kernels import RbfKernel
 from steinweights.samplers import sample_gmm_iid
-from steinweights.stein import stein_gram, stein_identity_check, stein_kernel_block
+from steinweights.stein import SteinGram, stein_gram, stein_identity_check, stein_kernel_block
 from steinweights.targets import (
     GaussianMixture,
     gaussianity_interpolation,
@@ -125,7 +125,9 @@ def test_criterion_03_solvers_match_brute_force_oracle():
                 worst_oracle_agreement, abs(grid_obj - oracle_obj)
             )
             grid_checked += 1
-        sol = simplex_qp.solve(simplex_qp.QpProblem(gram=mat), max_iters=20_000, tol=1e-16)
+        sol = simplex_qp.solve(
+            simplex_qp.QpProblem(gram=SteinGram(mat)), max_iters=20_000, tol=1e-16
+        )
         scale = max(1.0, abs(oracle_obj))
         worst_gap = max(worst_gap, (sol.objective - oracle_obj) / scale)
         worst_feas = max(

@@ -71,7 +71,7 @@ class TestExactIs:
 
 class TestControlFunctional:
     def make_gram(self, mat):
-        return SteinGram(matrix=np.asarray(mat, dtype=float), kernel=RbfKernel(1.0))
+        return SteinGram(np.asarray(mat, dtype=float))
 
     def test_zero_kernel_min_norm_solution(self):
         gram = self.make_gram(np.zeros((2, 2)))
@@ -126,25 +126,22 @@ class TestControlFunctionalFromFactor:
 
     def test_plain_array_matches_dense_solve(self):
         mat = self.seeded_gram(50).matrix.copy()
+        gram = SteinGram(mat)
         for lam in (None, 0.0, 1e-3):
             ridge = 1e-8 * 50 * mat.diagonal().max() if lam is None else lam
             expect = np.linalg.solve(mat + 1.0 + ridge * np.eye(50), np.ones(50))
-            w = weights_control_functional(mat, lam=lam)
+            w = weights_control_functional(gram, lam=lam)
             assert np.max(np.abs(w - expect)) <= 1e-8 * np.max(np.abs(expect))
 
-    def test_nonsymmetric_plain_array_solves_stated_system(self):
-        mat = np.array([[2.0, 0.5, 0.0], [-0.5, 3.0, 1.0], [0.0, 0.2, 1.0]])
-        expect = np.linalg.solve(mat + 1.0, np.ones(3))
-        np.testing.assert_allclose(weights_control_functional(mat, lam=0.0), expect, rtol=1e-10)
-
-    def test_zero_plain_array_min_norm_solution(self):
-        w = weights_control_functional(np.zeros((2, 2)), lam=0.0)
-        np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-10)
-
     def test_inconsistent_system_raises_solver_error(self):
-        # K + 11' is the zero matrix: no w solves 0 w = 1.
+        # K + 11' is the zero matrix: no w solves 0 w = 1. K is not PSD, so
+        # the Gram is set up past its validation, with no ridge factor.
+        gram = SteinGram.__new__(SteinGram)
+        object.__setattr__(gram, "matrix", -np.ones((2, 2)))
+        object.__setattr__(gram, "ridge", 0.0)
+        object.__setattr__(gram, "factor", None)
         with pytest.raises(SolverError, match="positive lam"):
-            weights_control_functional(-np.ones((2, 2)), lam=0.0)
+            weights_control_functional(gram, lam=0.0)
 
     def test_no_refactorization_eigensolve_or_lu(self, monkeypatch):
         from scipy import linalg
@@ -168,6 +165,25 @@ class TestControlFunctionalFromFactor:
         gram = self.seeded_gram(120)
         weights_control_functional(gram, normalize=True)
         assert calls == [(120, 120)]
+
+    def test_other_lam_factors_afresh_once(self, monkeypatch):
+        # The Gram's own factor serves lam == gram.ridge only; any other lam
+        # factors K + lam I once more, and the solve still matches.
+        from scipy.linalg import lapack
+
+        gram = self.seeded_gram(60)
+        calls = []
+        potrf = lapack.dpotrf
+
+        def counting_potrf(*args, **kwargs):
+            calls.append(args[0].shape)
+            return potrf(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dpotrf", counting_potrf)
+        w = weights_control_functional(gram, lam=1e-3)
+        assert calls == [(60, 60)]
+        expect = np.linalg.solve(gram.matrix + 1.0 + 1e-3 * np.eye(60), np.ones(60))
+        assert np.max(np.abs(w - expect)) <= 1e-8 * np.max(np.abs(expect))
 
 
 class TestKdeBandwidth:

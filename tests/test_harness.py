@@ -529,17 +529,19 @@ class TestRunExperiment:
     def test_diverging_chain_stops_early(self, monkeypatch):
         # The same diverging config: SGLD stops at the first non-finite
         # step instead of running all 100, and the rows still read failed.
+        # Its full batch takes one score call per step, on its 20 chains;
+        # the oracle's calls score batches of 64 chains.
         calls = []
-        minibatch = targets.ProbitModel.data_score_minibatch
+        score = targets.ProbitModel.score
 
-        def counting(self, points, batch_indices):
+        def counting(self, points):
             calls.append(len(points))
-            return minibatch(self, points, batch_indices)
+            return score(self, points)
 
-        monkeypatch.setattr(targets.ProbitModel, "data_score_minibatch", counting)
+        monkeypatch.setattr(targets.ProbitModel, "score", counting)
         monkeypatch.delenv("STEINWEIGHTS_PARALLEL", raising=False)
         result = run_experiment(DIVERGING_SGLD)
-        assert 0 < len(calls) < 100
+        assert 0 < calls.count(20) < 100
         assert {r.status for r in result.records} == {"failed"}
 
     def test_workers_do_not_rewrite_dataset(self, tmp_path, monkeypatch):

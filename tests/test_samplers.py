@@ -268,6 +268,37 @@ class TestSgldChains:
             replay[c] = x
         np.testing.assert_allclose(pts, replay, atol=1e-10)
 
+    def test_full_batch_drift_is_one_score_call(self):
+        # At the full batch the drift is score(x), never the minibatch
+        # gather; it matches prior_score + data_score_minibatch over every
+        # index to rounding.
+        model = probit_simulate(n_data=40, dimension=3, seed=8, prior_variance=0.1)
+        cfg = ChainConfig(
+            n_chains=5, n_steps=12, step_size=0.01, minibatch_size=40, seed=29, init_scale=1.0
+        )
+
+        class FullScoreOnly:
+            n_data = model.n_data
+            dimension = model.dimension
+            score = staticmethod(model.score)
+
+        pts = sgld_chains(FullScoreOnly(), cfg)
+
+        from numpy.random import SeedSequence, default_rng
+
+        everything = np.broadcast_to(np.arange(40), (5, 40))
+        x = np.empty((5, 3))
+        rngs = []
+        for c in range(5):
+            rng = default_rng(SeedSequence(entropy=29, spawn_key=(c,)))
+            x[c] = cfg.init_scale * rng.standard_normal(3)
+            rngs.append(rng)
+        for _ in range(12):
+            noise = np.stack([rng.standard_normal(3) for rng in rngs])
+            drift = model.prior_score(x) + model.data_score_minibatch(x, everything)
+            x = x + 0.5 * 0.01 * drift + 0.1 * noise
+        np.testing.assert_allclose(pts, x, rtol=1e-12, atol=1e-14)
+
     def test_minibatch_larger_than_data_rejected(self):
         model = probit_simulate(n_data=10, dimension=2, seed=1, prior_variance=0.1)
         cfg = ChainConfig(
@@ -337,7 +368,7 @@ class TestChainMemory:
 
 
 class CountingModel:
-    """Delegates to a model and counts its minibatch score calls."""
+    """Delegates to a model and counts its score calls, one per full-batch step."""
 
     def __init__(self, model):
         self.model = model
@@ -346,9 +377,9 @@ class CountingModel:
     def __getattr__(self, name):
         return getattr(self.model, name)
 
-    def data_score_minibatch(self, points, batch_indices):
+    def score(self, points):
         self.calls += 1
-        return self.model.data_score_minibatch(points, batch_indices)
+        return self.model.score(points)
 
 
 class TestSgldDivergence:

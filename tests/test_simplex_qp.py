@@ -18,7 +18,7 @@ class TestClosedFormCases:
         # (1/2, 1/2) is interior for lb < 1/2 and the only feasible point
         # at lb = 1/2, where n * lb = 1.
         for lb in (0.0, -0.5, 0.5):
-            sol = solve(QpProblem(gram=np.eye(2), lower_bound=lb))
+            sol = solve(QpProblem(gram=SteinGram(np.eye(2)), lower_bound=lb))
             np.testing.assert_allclose(sol.weights, [0.5, 0.5], atol=1e-8)
             assert sol.objective == pytest.approx(0.5, abs=1e-9)
 
@@ -33,29 +33,29 @@ class TestClosedFormCases:
             (0.5, None, [0.5, 0.5], 1.0),
         ]
         for lb, tol, weights, objective in cases:
-            sol = solve(QpProblem(gram=np.diag([1.0, 3.0]), lower_bound=lb), tol=tol)
+            sol = solve(QpProblem(gram=SteinGram(np.diag([1.0, 3.0])), lower_bound=lb), tol=tol)
             np.testing.assert_allclose(sol.weights, weights, atol=1e-7)
             assert sol.objective == pytest.approx(objective, abs=1e-9)
 
     def test_single_point(self):
-        sol = solve(QpProblem(gram=np.array([[4.0]])))
+        sol = solve(QpProblem(gram=SteinGram(np.array([[4.0]]))))
         np.testing.assert_array_equal(sol.weights, [1.0])
         assert sol.iterations == 0
         assert sol.objective == 4.0
 
     def test_identity_three(self):
-        sol = solve(QpProblem(gram=np.eye(3)))
+        sol = solve(QpProblem(gram=SteinGram(np.eye(3))))
         np.testing.assert_allclose(sol.weights, np.full(3, 1.0 / 3.0), atol=1e-8)
 
     def test_zero_matrix_returns_uniform(self):
-        sol = solve(QpProblem(gram=np.zeros((4, 4))))
+        sol = solve(QpProblem(gram=SteinGram(np.zeros((4, 4)))))
         np.testing.assert_allclose(sol.weights, np.full(4, 0.25), atol=1e-12)
         assert sol.objective == 0.0
 
     def test_relaxed_lower_bound_interior_optimum(self):
         # minimize w1^2 + 100 (1 - w1)^2 has its line optimum at 100/101,
         # interior to the relaxed box, so the bound does not bind.
-        problem = QpProblem(gram=np.diag([1.0, 100.0]), lower_bound=-1.0)
+        problem = QpProblem(gram=SteinGram(np.diag([1.0, 100.0])), lower_bound=-1.0)
         sol = solve(problem, max_iters=20000, tol=1e-16)
         np.testing.assert_allclose(sol.weights, [100.0 / 101.0, 1.0 / 101.0], atol=1e-7)
 
@@ -67,7 +67,7 @@ class TestClosedFormCases:
             rng = np.random.default_rng(seed)
             mat = random_psd(rng, 5)
             for lb, slack in ((0.0, 0.0), (-0.3, 1e-12), (0.2, 0.0)):
-                sol = solve(QpProblem(gram=mat, lower_bound=lb))
+                sol = solve(QpProblem(gram=SteinGram(mat), lower_bound=lb))
                 assert sol.weights.sum() == pytest.approx(1.0, abs=1e-12)
                 assert sol.weights.min() >= lb - slack
 
@@ -78,28 +78,25 @@ class TestDispatch:
         # a relative decrease tol of 1e-10.
         rng = np.random.default_rng(1)
         mat = random_psd(rng, 6)
-        problem = QpProblem(gram=mat)
+        problem = QpProblem(gram=SteinGram(mat))
         _assert_matches_reference(solve(problem), _reference_mirror_descent(problem, 2000))
 
     def test_negative_bound_runs_shifted_simplex(self):
         # A relaxed bound runs the same loop on the shifted simplex.
         rng = np.random.default_rng(2)
         mat = random_psd(rng, 4)
-        sol = solve(QpProblem(gram=mat, lower_bound=-0.5))
+        sol = solve(QpProblem(gram=SteinGram(mat), lower_bound=-0.5))
         assert sol.weights.min() >= -0.5 - 1e-12
 
     def test_infeasible_bound_rejected(self):
         with pytest.raises(ValueError):
-            QpProblem(gram=np.eye(3), lower_bound=0.5)
+            QpProblem(gram=SteinGram(np.eye(3)), lower_bound=0.5)
 
     def test_stein_gram_matrix_used_without_copy(self):
         target = random_gaussian_mixture(3, 2, seed=1, **GMM_RANGES).as_target()
         pts = np.random.default_rng(3).standard_normal((30, 2))
         gram = stein_gram(target, RbfKernel(1.0), pts)
         assert QpProblem(gram=gram).gram is gram.matrix
-        plain = QpProblem(gram=gram.matrix)
-        assert plain.gram is not gram.matrix
-        np.testing.assert_array_equal(plain.gram, gram.matrix)
 
 
 class TestSolverAgreement:
@@ -109,7 +106,7 @@ class TestSolverAgreement:
         for seed in range(20):
             rng = np.random.default_rng(500 + seed)
             mat = random_psd(rng, 10)
-            md = solve(QpProblem(gram=mat), max_iters=10000, tol=1e-14)
+            md = solve(QpProblem(gram=SteinGram(mat)), max_iters=10000, tol=1e-14)
             _, best = enumerate_qp_optimum(mat)
             scale = max(abs(md.objective), abs(best), 1e-30)
             assert abs(md.objective - best) / scale < 1e-6
@@ -118,7 +115,7 @@ class TestSolverAgreement:
         rng = np.random.default_rng(3)
         mat = random_psd(rng, 8)
         for lb in (0.0, -0.2, 0.125):
-            sol = solve(QpProblem(gram=mat, lower_bound=lb))
+            sol = solve(QpProblem(gram=SteinGram(mat), lower_bound=lb))
             trace = np.asarray(sol.objective_trace)
             assert np.all(np.diff(trace) <= 1e-15)
 
@@ -142,7 +139,7 @@ class TestEnumerationOracle:
             n = int(rng.integers(2, 5))
             mat = random_psd(rng, n)
             _, best = enumerate_qp_optimum(mat)
-            md = solve(QpProblem(gram=mat), max_iters=20000, tol=1e-16)
+            md = solve(QpProblem(gram=SteinGram(mat)), max_iters=20000, tol=1e-16)
             scale = max(abs(best), 1e-30)
             assert (md.objective - best) / scale < 1e-6
             # The oracle can never be beaten by a feasible iterate.
@@ -155,7 +152,7 @@ class TestEnumerationOracle:
             mat = random_psd(rng, n)
             lb = float(rng.uniform(-1.0, 0.0))
             _, best = enumerate_qp_optimum(mat, lower_bound=lb)
-            sol = solve(QpProblem(gram=mat, lower_bound=lb), max_iters=20000, tol=1e-16)
+            sol = solve(QpProblem(gram=SteinGram(mat), lower_bound=lb), max_iters=20000, tol=1e-16)
             scale = max(abs(best), 1e-30)
             assert abs(sol.objective - best) / scale < 1e-6
             assert sol.weights.min() >= lb - 1e-12
@@ -217,21 +214,21 @@ def _reference_mirror_descent(problem, max_iters, tol=1e-10, product=None, growt
     return w, obj, iterations, converged, float(grad @ (w - vertex))
 
 
-def _stein_gram_matrix(n=100, seed=0):
-    """Stein Gram on iid draws from the criterion-05 target."""
+def _mixture_gram(n=100, seed=0):
+    """SteinGram on iid draws from the criterion-05 target."""
     target = random_gaussian_mixture(
         n_components=20, dimension=2, seed=3, mean_range=(-3.0, 3.0), variance_range=(0.3, 1.0)
     )
     points = sample_gmm_iid(target, n, np.random.default_rng(seed))
     kernel = RbfKernel(median_heuristic_bandwidth(points))
-    return stein_gram(target.as_target(), kernel, points).matrix
+    return stein_gram(target.as_target(), kernel, points)
 
 
 def _reference_cases():
-    yield _stein_gram_matrix(), 300
+    yield _mixture_gram(), 300
     for seed in range(6):
         rng = np.random.default_rng(900 + seed)
-        yield random_psd(rng, int(rng.integers(3, 30))), 500
+        yield SteinGram(random_psd(rng, int(rng.integers(3, 30)))), 500
 
 
 @pytest.fixture
@@ -263,8 +260,8 @@ class TestSharedGramProduct:
     every decision of the pre-sharing loop unchanged."""
 
     def test_mirror_descent_matches_reference(self):
-        for mat, iters in _reference_cases():
-            problem = QpProblem(gram=mat)
+        for gram, iters in _reference_cases():
+            problem = QpProblem(gram=gram)
             sol = solve(problem, max_iters=iters)
             _assert_matches_reference(sol, _reference_mirror_descent(problem, iters))
 
@@ -273,7 +270,7 @@ class TestSharedGramProduct:
         # loop forms 2 + c + i products: the start's objective and
         # gradient, one per candidate and one fresh gradient per accepted
         # step. Sharing K c leaves 1 + c.
-        problem = QpProblem(gram=_stein_gram_matrix())
+        problem = QpProblem(gram=_mixture_gram())
         sol = solve(problem, max_iters=300)
         shared = len(product_calls)
         product_calls.clear()
@@ -289,10 +286,10 @@ class TestSymmetricProduct:
 
     def test_matches_matmul(self):
         rng = np.random.default_rng(40)
-        mats = [_stein_gram_matrix(n=150, seed=4)]
-        mats += [random_psd(rng, int(n)) for n in (1, 2, 7, 64, 129)]
-        for mat in mats:
-            stored = QpProblem(gram=mat).gram
+        grams = [_mixture_gram(n=150, seed=4)]
+        grams += [SteinGram(random_psd(rng, int(n))) for n in (1, 2, 7, 64, 129)]
+        for gram in grams:
+            stored = QpProblem(gram=gram).gram
             for _ in range(3):
                 x = rng.standard_normal(stored.shape[0])
                 bound = 1e-12 * np.max(np.abs(stored)) * np.sum(np.abs(x))
@@ -303,16 +300,18 @@ class TestSymmetricProduct:
         rng = np.random.default_rng(41)
         pts = rng.standard_normal((30, 2))
         stein = stein_gram(standard_normal_target(2), RbfKernel(1.0), pts)
+        # Sums with their transposes are exactly symmetric, so SteinGram
+        # stores them without symmetrizing; it copies the strided view into
+        # a contiguous matrix.
         plain = random_psd(rng, 25)
+        plain = plain + plain.T
         big = random_psd(rng, 60)
-        big = big + big.T  # exactly symmetric, so SteinGram keeps the view
-        strided = big[::2, ::2]
+        big = big + big.T
         cases = {
             "stein_gram": stein,
-            "c_order": plain,
-            "f_order": np.asfortranarray(plain),
-            "strided_view": strided,
-            "strided_stein_gram": SteinGram(matrix=strided, kernel=RbfKernel(1.0)),
+            "c_order": SteinGram(plain),
+            "f_order": SteinGram(np.asfortranarray(plain)),
+            "strided_view": SteinGram(big[::2, ::2]),
         }
         seen = []
         dsymv = blas.dsymv
@@ -330,17 +329,14 @@ class TestSymmetricProduct:
             for a in seen:
                 assert a.flags.f_contiguous, name
                 assert np.shares_memory(a, problem.gram), name
-        # A SteinGram keeps an exactly symmetric strided view as is; the
-        # problem copies it once, at construction.
-        assert np.shares_memory(cases["strided_stein_gram"].matrix, big)
-        assert not np.shares_memory(QpProblem(gram=cases["strided_stein_gram"]).gram, big)
-        assert QpProblem(gram=stein).gram is stein.matrix
+        for name, gram in cases.items():
+            assert QpProblem(gram=gram).gram is gram.matrix, name
 
     def test_drift_against_matmul_loops(self):
         # The pre-dsymv solver, products through @, on the criterion-05
         # target at n = 200: same iterations and convergence flag, weights
         # within rounding.
-        problem = QpProblem(gram=_stein_gram_matrix(n=200, seed=5))
+        problem = QpProblem(gram=_mixture_gram(n=200, seed=5))
         sol = solve(problem, max_iters=2000)
         weights, _, iterations, converged, _ = _reference_mirror_descent(
             problem, 2000, product=_matmul_product
@@ -357,7 +353,7 @@ class TestStepSizeGrowth:
     def test_grown_step_rarely_rejected(self, product_calls):
         # Doubling made the next candidate fail almost every time, about
         # 2 products per iteration.
-        sol = solve(QpProblem(gram=_stein_gram_matrix()), max_iters=300)
+        sol = solve(QpProblem(gram=_mixture_gram()), max_iters=300)
         assert sol.iterations == 300
         assert len(product_calls) <= 1.4 * sol.iterations
 
@@ -365,7 +361,7 @@ class TestStepSizeGrowth:
         # The step-size policy moves the early-stopped iterate, not where
         # it heads: on the criterion-05 target at n = 200, 2000 iterations
         # growing eta by 1.25 land near the iterate of doubling it.
-        problem = QpProblem(gram=_stein_gram_matrix(n=200, seed=5))
+        problem = QpProblem(gram=_mixture_gram(n=200, seed=5))
         sol = solve(problem, max_iters=2000)
         weights, objective, _, _, _ = _reference_mirror_descent(problem, 2000, growth=2.0)
         assert np.sum(np.abs(sol.weights - weights)) <= 0.05

@@ -5,10 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import blas
 from scipy.spatial.distance import cdist
 
 from steinweights.errors import GramIntegrityError, ScoreEvaluationError
 from steinweights.kernels import RbfKernel, _upper_tiles, median_heuristic_bandwidth
+from steinweights.simplex_qp import QpProblem, solve
 from steinweights.stein import (
     ScoreTarget,
     SteinGram,
@@ -113,12 +115,43 @@ class TestSteinGram:
     def test_rejects_asymmetric_matrix(self):
         mat = np.array([[1.0, 0.5], [0.4, 1.0]])
         with pytest.raises(GramIntegrityError):
-            SteinGram(matrix=mat, kernel=RbfKernel(1.0))
+            SteinGram(mat)
 
     def test_rejects_indefinite_matrix(self):
         mat = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(GramIntegrityError):
-            SteinGram(matrix=mat, kernel=RbfKernel(1.0))
+            SteinGram(mat)
+
+    def test_strided_matrix_stored_contiguous_and_used_without_copy(self, monkeypatch):
+        # A strided view is copied once, into a contiguous matrix, when the
+        # Gram is built; the solver and the discrepancy then pass that
+        # matrix to dsymv as is, where f2py would copy a strided one.
+        rng = np.random.default_rng(13)
+        big = rng.standard_normal((40, 40))
+        big = big @ big.T
+        big = big + big.T  # exactly symmetric, so stored unsymmetrized
+        strided = big[::2, ::2]
+        gram = SteinGram(strided)
+        assert gram.matrix.flags.c_contiguous or gram.matrix.flags.f_contiguous
+        assert not np.shares_memory(gram.matrix, big)
+        np.testing.assert_array_equal(gram.matrix, strided)
+        problem = QpProblem(gram=gram)
+        assert problem.gram is gram.matrix
+        seen = []
+        dsymv = blas.dsymv
+
+        def checking_dsymv(alpha, a, x, *args, **kwargs):
+            seen.append(a)
+            return dsymv(alpha, a, x, *args, **kwargs)
+
+        monkeypatch.setattr(blas, "dsymv", checking_dsymv)
+        w = np.full(20, 1.0 / 20)
+        assert ksd_weighted(gram, w) == pytest.approx(w @ strided @ w, rel=1e-12)
+        solve(problem, max_iters=3)
+        assert len(seen) > 1
+        for a in seen:
+            assert a.flags.f_contiguous
+            assert np.shares_memory(a, gram.matrix)
 
     def test_score_failure_carries_point(self):
         def bad_score(points):
@@ -292,7 +325,7 @@ class TestSteinKernelVector:
 
 class TestKsdWeighted:
     def make_gram(self, mat):
-        return SteinGram(matrix=np.asarray(mat, dtype=float), kernel=RbfKernel(1.0))
+        return SteinGram(np.asarray(mat, dtype=float))
 
     def test_basis_vector_reads_diagonal(self):
         gram = self.make_gram([[3.0, 1.0], [1.0, 2.0]])
@@ -331,7 +364,6 @@ class TestKsdWeighted:
     def test_large_negative_is_integrity_error(self):
         gram = SteinGram.__new__(SteinGram)
         object.__setattr__(gram, "matrix", np.array([[1.0, -2.0], [-2.0, 1.0]]))
-        object.__setattr__(gram, "kernel", RbfKernel(1.0))
         with pytest.raises(GramIntegrityError):
             ksd_weighted(gram, np.array([0.5, 0.5]))
 
@@ -378,14 +410,14 @@ class TestCholeskyPsdCheck:
     def test_floor_is_exact_at_small_and_large_n(self, n):
         floor = 1e-8 * n
         with pytest.raises(GramIntegrityError, match="below PSD floor"):
-            SteinGram(matrix=rank_one_dip(n, 1.001 * floor), kernel=RbfKernel(1.0))
-        gram = SteinGram(matrix=rank_one_dip(n, 0.999 * floor), kernel=RbfKernel(1.0))
+            SteinGram(rank_one_dip(n, 1.001 * floor))
+        gram = SteinGram(rank_one_dip(n, 0.999 * floor))
         assert gram.ridge == floor
         assert gram.factor is not None
 
     @pytest.mark.parametrize("n", [1, 4, 1100])
     def test_zero_matrix_accepted(self, n):
-        gram = SteinGram(matrix=np.zeros((n, n)), kernel=RbfKernel(1.0))
+        gram = SteinGram(np.zeros((n, n)))
         assert gram.ridge == 0.0
         assert gram.factor is None
 
@@ -401,7 +433,7 @@ class TestCholeskyPsdCheck:
 
     def test_near_symmetric_input_stored_exactly_symmetric(self):
         mat = np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
-        gram = SteinGram(matrix=mat, kernel=RbfKernel(1.0))
+        gram = SteinGram(mat)
         np.testing.assert_array_equal(gram.matrix, gram.matrix.T)
         assert gram.matrix[0, 1] == 0.5 * (1.0 + (1.0 + 1e-14))
 
