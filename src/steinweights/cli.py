@@ -7,8 +7,6 @@ import csv
 import json
 import sys
 
-import numpy as np
-
 from .errors import SteinWeightsError
 from .harness import SCHEMES, build_target_model, parse_spec, read_points, run_experiment
 from .kernels import RbfKernel, median_heuristic_bandwidth
@@ -37,19 +35,6 @@ def _write_weights(path, weights) -> None:
     else:
         with open(path, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
-
-
-def _read_weights(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise ValueError("weight file is empty")
-    try:
-        float(rows[0][-1])
-        start = 0
-    except ValueError:
-        start = 1
-    return np.array([float(row[-1]) for row in rows[start:]])
 
 
 def _cmd_run(args) -> int:
@@ -106,7 +91,8 @@ def _cmd_weights(args) -> int:
 
 def _cmd_ksd(args) -> int:
     points = read_points(args.points)
-    weights = _read_weights(args.weights)
+    # A copy: a strided weight column rounds w' K w differently.
+    weights = read_points(args.weights)[:, -1].copy()
     model = build_target_model(_load_json(args.target))
     target = model.as_target()
     gram = _gram_from_args(args, target, points)

@@ -127,9 +127,6 @@ class ExperimentConfig:
         for key in ("n_grid", "test_functions"):
             if len(set(parsed[key])) != len(parsed[key]):
                 raise ValueError(f"{key} entries must be distinct; got {parsed[key]!r}")
-        lb = max(s.get("lower_bound", 0.0) for s in parsed["schemes"])
-        if max(self.n_grid) * lb > 1.0:
-            raise ValueError(f"lower_bound {lb} infeasible for n = {max(self.n_grid)} (n * lb > 1)")
         oracle = parsed["ground_truth"] or {"kind": "exact"}
         if oracle["kind"] == "mala_oracle" and "random_cosine" in self.test_functions and not (
                 1 <= oracle["store_every"] <= oracle["draws"]):
@@ -210,8 +207,9 @@ class Option:
     whose spec the value is. With ``items`` the value is a nonempty list of
     such values, exactly ``items`` of them unless that is 0. A number is
     finite and in [``minimum``, ``maximum``], above the minimum if ``above``;
-    no ``bool`` is a number and no fraction an ``int``. ``null`` is a value
-    only where the default is ``None``. Nothing is converted.
+    no ``bool`` is a number and no fraction an ``int``. A ``str`` is not
+    empty. ``null`` is a value only where the default is ``None``. Nothing
+    is converted.
     """
 
     type: object
@@ -241,7 +239,7 @@ class Option:
                 self._accepts(v) if isinstance(v, (list, tuple)) else _is_int(v)
                 or isinstance(v, float) for v in value)
         if self.type in (bool, str):
-            return isinstance(value, self.type)
+            return isinstance(value, self.type) and value != ""
         return (_is_int(value) or (self.type is float and isinstance(value, float))) and (
             (_is_int(value) or math.isfinite(value))
             and (self.minimum is None or value > self.minimum
@@ -262,6 +260,8 @@ class Option:
         what = getattr(self.type, "__name__", f"a {self.type} spec")
         if self.type in (int, float):
             what += f", {self.range}"
+        elif self.type is str:
+            what = "a nonempty str"
         elif self.type is list:
             what = "numbers in a list"
         elif isinstance(self.type, tuple):
@@ -314,7 +314,7 @@ def build_target_model(spec: dict):
         return read_probit_dataset(v["dataset"], prior_variance=v["prior_variance"])
     model = probit_simulate(
         v["n_data"], v["dimension"], v["seed"], prior_variance=v["prior_variance"])
-    if v["dataset_out"]:
+    if v["dataset_out"] is not None:
         write_probit_dataset(v["dataset_out"], model)
     return model
 
@@ -514,8 +514,8 @@ def _exact_is(target, points, gram, log_q, normalize):
     return baselines.weights_exact_is(target, log_q, points), 0
 
 
-def _stein(target, points, gram, log_q, normalize, lower_bound, max_iters, tol):
-    problem = simplex_qp.QpProblem(gram=gram, lower_bound=lower_bound)
+def _stein(target, points, gram, log_q, normalize, max_iters, tol):
+    problem = simplex_qp.QpProblem(gram=gram)
     solution = simplex_qp.solve(problem, max_iters=max_iters, tol=tol)
     return solution.weights, solution.iterations
 
@@ -536,7 +536,6 @@ _KDE_BANDWIDTH = {
 SCHEMES = {scheme.kind: scheme for scheme in (
     Scheme("uniform", _uniform),
     Scheme("stein", _stein, needs_gram=True, options={
-        "lower_bound": Option(float, 0.0, help="lower bound of every weight"),
         "max_iters": Option(int, None, minimum=1, help="solver iteration cap"),
         "tol": Option(float, None, minimum=0.0, help="solver stopping tolerance"),
     }),
@@ -570,7 +569,7 @@ _TARGETS = {
 SPECS = {
     ("config", None): {
         "target": Option("target"), "sampler": Option("sampler", {"kind": "iid"}),
-        "schemes": Option("scheme", items=0), "n_grid": Option(int, minimum=1, items=0),
+        "schemes": Option("scheme", items=0), "n_grid": Option(int, minimum=2, items=0),
         "trials": Option(int, minimum=1), "test_functions": Option(TEST_FUNCTIONS, items=0),
         "seed": _SEED, "output_dir": Option(str, None),
         "ground_truth": Option("ground_truth", None), "record_timing": Option(bool, False),
@@ -871,16 +870,17 @@ def write_points(path, points: np.ndarray) -> None:
 
 
 def read_points(path) -> np.ndarray:
-    """Read a delimited point set; a non-numeric first row is a header."""
+    """Read a delimited file of numbers, one row per point or weight; a
+    non-numeric first row is a header."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
-        raise ValueError("point file is empty")
+        raise ValueError(f"{path} is empty")
     start = 0
     try:
         [float(v) for v in rows[0]]
     except ValueError:
         start = 1
     if start == len(rows):
-        raise ValueError("point file has a header but no data rows")
+        raise ValueError(f"{path} has a header but no data rows")
     return np.array([[float(v) for v in row] for row in rows[start:]])

@@ -1,13 +1,9 @@
-"""Minimize w' K w over the probability simplex, or a shifted one.
+"""Minimize w' K w over the probability simplex.
 
-The feasible region is {w : sum(w) = 1, w_i >= lb} for a common lower
-bound lb with n * lb <= 1: zero gives the probability simplex, and a
-negative lb lets weights drop mildly below zero. One solver covers every
-lb: entropic mirror descent (multiplicative updates) on u = w - lb, which
-lives on the simplex scaled to sum 1 - n * lb. It starts from uniform
-weights and only accepts steps that do not increase the objective, so the
-recorded objective trace is non-increasing and the uniform-weight
-objective is an upper bound on the result.
+The feasible region is {w : sum(w) = 1, w_i >= 0}. The solver is entropic
+mirror descent (multiplicative updates). It starts from uniform weights
+and only accepts steps that do not increase the objective, so the
+uniform-weight objective is an upper bound on the result.
 
 The (n, n) products with K dominate the cost. The solver forms K w once
 per iterate and uses it twice: the objective is w' (K w) and the next
@@ -22,7 +18,7 @@ matrix-vector product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,32 +41,21 @@ _ETA_GROWTH = 1.25
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Quadratic program min w' K w subject to sum(w) = 1, w_i >= lower_bound.
+    """Quadratic program min w' K w subject to sum(w) = 1, w_i >= 0.
 
     ``gram`` is a :class:`SteinGram`, whose matrix is already finite,
     exactly symmetric and contiguous. Construction replaces ``gram`` with
     that matrix, which the solver's symmetric products take without a
-    copy. Wrap any other matrix as ``SteinGram(matrix)``. ``lower_bound``
-    must satisfy n * lower_bound <= 1 so the region is non-empty; zero
-    gives the probability simplex.
+    copy. Wrap any other matrix as ``SteinGram(matrix)``.
     """
 
     gram: SteinGram
-    lower_bound: float = 0.0
 
     def __post_init__(self):
         mat = self.gram.matrix
         if mat.shape[0] < 1:
             raise ValueError(f"gram must be non-empty, got shape {mat.shape}")
         object.__setattr__(self, "gram", mat)
-        lb = float(self.lower_bound)
-        if not np.isfinite(lb):
-            raise ValueError("lower_bound must be finite")
-        if lb * mat.shape[0] > 1.0:
-            raise ValueError(
-                f"lower_bound {lb} infeasible for n = {mat.shape[0]} (n * lb > 1)"
-            )
-        object.__setattr__(self, "lower_bound", lb)
 
     @property
     def n(self) -> int:
@@ -83,8 +68,6 @@ class QpSolution:
 
     ``gap`` is the linear-minimization (Frank-Wolfe) gap <w - v, grad f(w)>
     at the final iterate, an upper bound on the suboptimality f(w) - f*.
-    ``objective_trace`` holds the accepted objective values, starting with
-    the initial iterate.
     """
 
     weights: np.ndarray
@@ -92,7 +75,6 @@ class QpSolution:
     iterations: int
     converged: bool
     gap: float
-    objective_trace: np.ndarray = field(repr=False)
 
 
 def _abs_max(mat: np.ndarray) -> float:
@@ -100,32 +82,26 @@ def _abs_max(mat: np.ndarray) -> float:
     return max(float(mat.max()), -float(mat.min()))
 
 
-def _fw_gap(weights: np.ndarray, gradient: np.ndarray, lower_bound: float) -> float:
-    """The Frank-Wolfe gap <w - v, grad f(w)>, v the feasible vertex that
-    minimizes the linearization.
-
-    Vertices are lb * ones + (1 - n * lb) e_i; v puts the free mass on the
-    lowest-index coordinate with minimal gradient.
+def _fw_gap(weights: np.ndarray, gradient: np.ndarray) -> float:
+    """The Frank-Wolfe gap <w - v, grad f(w)>, v the simplex vertex that
+    minimizes the linearization: e_i at the lowest-index coordinate with
+    minimal gradient.
     """
-    n = gradient.shape[0]
-    vertex = np.full(n, lower_bound)
-    vertex[int(np.argmin(gradient))] = 1.0 - (n - 1) * lower_bound
+    vertex = np.zeros(gradient.shape[0])
+    vertex[int(np.argmin(gradient))] = 1.0
     return float(gradient @ (weights - vertex))
 
 
 def _trivial_solution(problem: QpProblem) -> QpSolution | None:
     """The solution of a problem whose answer needs no iteration: one point,
-    a region that is the one point lb * ones (n * lb = 1), or K = 0."""
+    or K = 0."""
     mat = problem.gram
     n = problem.n
-    lb = problem.lower_bound
-    if n == 1 or n * lb >= 1.0:
-        w = np.array([1.0]) if n == 1 else np.full(n, lb)
-        obj = float(w @ _gram_product(mat, w))
-        return QpSolution(w, obj, 0, True, 0.0, np.array([obj]))
+    if n == 1:
+        w = np.array([1.0])
+        return QpSolution(w, float(w @ _gram_product(mat, w)), 0, True, 0.0)
     if _abs_max(mat) == 0.0:
-        w = np.full(n, 1.0 / n)
-        return QpSolution(w, 0.0, 0, True, 0.0, np.array([0.0]))
+        return QpSolution(np.full(n, 1.0 / n), 0.0, 0, True, 0.0)
     return None
 
 
@@ -134,11 +110,10 @@ def solve(
     max_iters: int | None = None,
     tol: float | None = None,
 ) -> QpSolution:
-    """Entropic mirror descent (multiplicative weights) on the shifted simplex.
+    """Entropic mirror descent (multiplicative weights) on the simplex.
 
-    With u = w - lb on the simplex scaled to sum span = 1 - n * lb, it steps
-    u <- span * u * exp(-eta * grad f(w)) / Z, with backtracking on the step
-    size: eta starts at 1 / (2 span max|K|), halves whenever a step fails a
+    It steps w <- w * exp(-eta * grad f(w)) / Z, with backtracking on the
+    step size: eta starts at 1 / (2 max|K|), halves whenever a step fails a
     sufficient-decrease check, and grows by ``_ETA_GROWTH`` = 1.25 after
     each accepted step. Plain accept-on-any-decrease stalls by reflecting
     across the optimum with vanishing progress, so acceptance demands a
@@ -146,7 +121,7 @@ def solve(
     is declared when the relative objective decrease over one accepted step
     falls below ``tol`` (default 1e-10). Exhausting ``max_iters`` (default
     max(2000, 50 n)) returns the best iterate with ``converged`` False
-    rather than raising. At lb = 0 the shift is exact: u is w, and span 1.
+    rather than raising.
 
     Each scored candidate costs one product K c, which gives both its
     objective c' (K c) and, if the step is accepted, the next gradient
@@ -160,23 +135,18 @@ def solve(
         return trivial
     mat = problem.gram
     n = problem.n
-    lb = problem.lower_bound
-    span = 1.0 - n * lb
     if max_iters is None:
         max_iters = max(2000, 50 * n)
     if tol is None:
         tol = 1e-10
     w = np.full(n, 1.0 / n)
-    u = w - lb
     grad = _gram_product(mat, w)
     obj = float(w @ grad)
     grad *= 2.0
-    trace = [obj]
-    eta = 1.0 / (2.0 * span * _abs_max(mat))
+    eta = 1.0 / (2.0 * _abs_max(mat))
     converged = False
     iterations = 0
     candidate = np.empty(n)
-    cand_u = np.empty(n)
     z = np.empty(n)
     step = np.empty(n)
     finite = np.empty(n, dtype=bool)
@@ -188,13 +158,12 @@ def solve(
             np.multiply(grad, -eta, out=z)
             z -= z.max()
             np.exp(z, out=z)
-            np.multiply(u, z, out=cand_u)
-            total = float(cand_u.sum())
+            np.multiply(w, z, out=candidate)
+            total = float(candidate.sum())
             if total <= 0.0 or not np.isfinite(total):
                 eta *= 0.5
                 continue
-            cand_u /= total / span
-            np.add(cand_u, lb, out=candidate)
+            candidate /= total
             kc = _gram_product(mat, candidate)
             cand_obj = float(candidate @ kc)
             predicted = float(grad @ np.subtract(w, candidate, out=step))
@@ -208,9 +177,7 @@ def solve(
         iterations += 1
         decrease = obj - cand_obj
         w, candidate = candidate, w
-        u, cand_u = cand_u, u
         obj = cand_obj
-        trace.append(obj)
         kc *= 2.0
         grad = kc
         eta *= _ETA_GROWTH
@@ -218,5 +185,4 @@ def solve(
             converged = True
             break
     w = w / float(w.sum())
-    gap = _fw_gap(w, grad, lb)
-    return QpSolution(w, obj, iterations, converged, gap, np.asarray(trace))
+    return QpSolution(w, obj, iterations, converged, _fw_gap(w, grad))

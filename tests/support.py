@@ -32,11 +32,11 @@ from steinweights.errors import NonFinitePointsError
 GMM_RANGES = {"mean_range": (-5.0, 5.0), "variance_range": (0.3, 1.0)}
 
 
-def enumerate_qp_optimum(mat, lower_bound=0.0):
-    """Exact minimizer of w' K w over {sum w = 1, w >= lower_bound}.
+def enumerate_qp_optimum(mat):
+    """Exact minimizer of w' K w over {sum w = 1, w >= 0}.
 
     Enumerates candidate active sets: every subset S of indices is tried as
-    the free support, with the complement pinned at the lower bound. The
+    the free support, with the complement pinned at zero. The
     stationarity system on S is solved with a least-squares fallback so
     singular blocks do not abort the scan.
     """
@@ -47,22 +47,17 @@ def enumerate_qp_optimum(mat, lower_bound=0.0):
     for size in range(1, n + 1):
         for support in itertools.combinations(range(n), size):
             free = np.array(support)
-            fixed = np.array([i for i in range(n) if i not in support])
-            budget = 1.0 - lower_bound * fixed.size
             k_ss = mat[np.ix_(free, free)]
-            rhs_lin = np.zeros(free.size)
-            if fixed.size:
-                rhs_lin = -2.0 * lower_bound * mat[np.ix_(free, fixed)].sum(axis=1)
             system = np.zeros((free.size + 1, free.size + 1))
             system[: free.size, : free.size] = 2.0 * k_ss
             system[: free.size, -1] = -1.0
             system[-1, : free.size] = 1.0
-            rhs = np.append(rhs_lin, budget)
+            rhs = np.append(np.zeros(free.size), 1.0)
             sol, *_ = np.linalg.lstsq(system, rhs, rcond=None)
             w_free = sol[: free.size]
-            if np.any(w_free < lower_bound - 1e-9):
+            if np.any(w_free < -1e-9):
                 continue
-            w = np.full(n, lower_bound)
+            w = np.zeros(n)
             w[free] = w_free
             total = w.sum()
             if abs(total - 1.0) > 1e-8:
@@ -75,7 +70,7 @@ def enumerate_qp_optimum(mat, lower_bound=0.0):
     return best_w, best_obj
 
 
-def grid_qp_optimum(mat, lower_bound=0.0, resolution=1e-3):
+def grid_qp_optimum(mat, resolution=1e-3):
     """Brute-force simplex grid scan followed by coordinate refinement.
 
     Only supports n in {2, 3}; larger grids are astronomically big at this
@@ -89,19 +84,18 @@ def grid_qp_optimum(mat, lower_bound=0.0, resolution=1e-3):
     def objective(w):
         return float(w @ mat @ w)
 
-    hi = 1.0 - (n - 1) * lower_bound
-    grid = np.arange(lower_bound, hi + resolution / 2, resolution)
+    grid = np.arange(0.0, 1.0 + resolution / 2, resolution)
     if n == 2:
         cands = np.column_stack([grid, 1.0 - grid])
     else:
         inner = [
-            np.arange(lower_bound, 1.0 - w1 - lower_bound + resolution / 2, resolution)
+            np.arange(0.0, 1.0 - w1 + resolution / 2, resolution)
             for w1 in grid
         ]
         w1 = np.repeat(grid, [len(w2) for w2 in inner])
         w2 = np.concatenate(inner)
         cands = np.column_stack([w1, w2, 1.0 - w1 - w2])
-    cands = cands[cands[:, -1] >= lower_bound - 1e-12]
+    cands = cands[cands[:, -1] >= -1e-12]
     # Batched, w @ mat @ w rounds as it does one w at a time, and argmin
     # keeps the first strict minimum in grid order, as a loop over it would.
     objs = ((cands @ mat)[:, None, :] @ cands[:, :, None])[:, 0, 0]
@@ -121,7 +115,7 @@ def grid_qp_optimum(mat, lower_bound=0.0, resolution=1e-3):
                 cand = w.copy()
                 cand[i] += step
                 cand[j] -= step
-                if cand[j] < lower_bound - 1e-15:
+                if cand[j] < -1e-15:
                     continue
                 obj = objective(cand)
                 if obj < best_obj - 1e-18:

@@ -125,8 +125,7 @@ class TestWeightsCommand:
 
 
 # A value other than the default for every scheme option in the table.
-OPTION_VALUES = {"lower_bound": -0.01, "max_iters": 40, "tol": 1e-12, "lam": 1e-3,
-                 "bandwidth": 0.7}
+OPTION_VALUES = {"max_iters": 40, "tol": 1e-12, "lam": 1e-3, "bandwidth": 0.7}
 
 
 class TestWeightsMatchHarness:
@@ -286,7 +285,6 @@ class TestErrorPaths:
             ("stein", ["--max-iters", "0"], "max_iters must be"),
             ("control_functional", ["--lam", "-1"], "lam must be"),
             ("kde", ["--bandwidth", "-1"], "bandwidth must be"),
-            ("stein", ["--lower-bound", "0.5"], "lower_bound 0.5 infeasible"),
         ],
     )
     def test_option_out_of_range_exits_two(self, tmp_path, capsys, scheme, flags,
@@ -301,6 +299,43 @@ class TestErrorPaths:
         ])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_lower_bound_flag_is_unknown(self, tmp_path, capsys):
+        # The stein solver serves the probability simplex only.
+        points_path, _ = _points_file(tmp_path, n=6)
+        target_path = _write_json(
+            tmp_path / "target.json", {"kind": "standard_normal", "dimension": 2}
+        )
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "weights", "--points", points_path, "--target", target_path,
+                "--scheme", "stein", "--lower-bound", "0",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lower-bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--points", "--weights"])
+    def test_ksd_header_only_file_exits_two(self, tmp_path, capsys, flag):
+        # Points and weights are read by one reader, with one message.
+        points_path, _ = _points_file(tmp_path, n=6)
+        target_path = _write_json(
+            tmp_path / "target.json", {"kind": "standard_normal", "dimension": 2}
+        )
+        weights_path = tmp_path / "w.csv"
+        assert main([
+            "weights", "--points", points_path, "--target", target_path,
+            "--scheme", "uniform", "--output", str(weights_path),
+        ]) == 0
+        files = {"--points": points_path, "--weights": str(weights_path)}
+        header_only = tmp_path / "header.csv"
+        header_only.write_text(Path(files[flag]).read_text().splitlines()[0] + "\n")
+        files[flag] = str(header_only)
+        code = main([
+            "ksd", "--points", files["--points"], "--weights", files["--weights"],
+            "--target", target_path,
+        ])
+        assert code == 2
+        assert f"error: {header_only} has a header but no data rows" in capsys.readouterr().err
 
     def test_malformed_run_config_exits_two(self, tmp_path, capsys):
         config = {

@@ -97,6 +97,33 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(n_grid=[0, 10])
 
+    @pytest.mark.parametrize("n_grid", [[1], [1, 5]])
+    def test_one_point_grid_rejected_before_sampling(self, monkeypatch, n_grid):
+        # The median-heuristic bandwidth needs two points, so n = 1 would
+        # fail at the first trial, after the target and oracle are built.
+        drawn = []
+        monkeypatch.setattr(harness, "_sample_points", lambda *args: drawn.append(args))
+        monkeypatch.delenv("STEINWEIGHTS_PARALLEL", raising=False)
+        with pytest.raises(ValueError, match="n_grid must be .* >= 2"):
+            run_experiment(small_config().to_dict() | {"n_grid": n_grid})
+        assert drawn == []
+
+    @pytest.mark.parametrize(
+        "overrides, where, key",
+        [
+            ({"output_dir": ""}, "config", "output_dir"),
+            ({"schemes": [{"kind": "uniform", "label": ""}]}, "scheme kind 'uniform'", "label"),
+            ({"target": {"kind": "probit_simulated", "n_data": 20, "dimension": 2, "seed": 4,
+                         "dataset_out": ""}}, "target kind 'probit_simulated'", "dataset_out"),
+        ],
+        ids=["output_dir", "label", "dataset_out"],
+    )
+    def test_empty_string_rejected(self, overrides, where, key):
+        # "" would fail in os.makedirs after every trial, fall back to the
+        # kind, or skip the dataset write.
+        with pytest.raises(ValueError, match=f"{where}: {key} must be a nonempty str"):
+            ExperimentConfig.from_dict(small_config().to_dict() | overrides)
+
     def test_misspelled_scheme_option_rejected_before_sampling(self, monkeypatch):
         # A typo must not leave the scheme to run on its defaults.
         drawn = []
@@ -125,7 +152,7 @@ class TestConfigValidation:
     def test_every_declared_option_accepted(self):
         schemes = [
             {"kind": "uniform", "label": "flat"},
-            {"kind": "stein", "lower_bound": 0.0, "max_iters": 5, "tol": 1e-10},
+            {"kind": "stein", "max_iters": 5, "tol": 1e-10},
             {"kind": "control_functional", "lam": 1e-3},
             {"kind": "control_functional_normalized", "lam": 1e-3},
             {"kind": "kde", "bandwidth": 0.5},
@@ -142,7 +169,7 @@ class TestConfigValidation:
             ({"kind": "stein", "tol": -1.0}, [20], "tol"),
             ({"kind": "control_functional", "lam": "abc"}, [20], "lam"),
             ({"kind": "kde_normalized", "bandwidth": -1.0}, [20], "bandwidth"),
-            ({"kind": "stein", "lower_bound": 0.5}, [50], "lower_bound"),
+            ({"kind": "stein", "lower_bound": 0.0}, [20], "lower_bound"),
         ],
     )
     def test_bad_scheme_value_rejected_before_sampling(
@@ -485,7 +512,7 @@ class TestRunExperiment:
         def vertex(problem, **kwargs):
             weights = np.zeros(problem.n)
             weights[np.argmax(np.diag(problem.gram))] = 1.0
-            return simplex_qp.QpSolution(weights, 0.0, 1, False, 0.0, np.zeros(1))
+            return simplex_qp.QpSolution(weights, 0.0, 1, False, 0.0)
 
         monkeypatch.setattr(simplex_qp, "solve", vertex)
         monkeypatch.delenv("STEINWEIGHTS_PARALLEL", raising=False)

@@ -15,27 +15,15 @@ from support import GMM_RANGES, enumerate_qp_optimum, grid_qp_optimum, random_ps
 
 class TestClosedFormCases:
     def test_identity_two(self):
-        # (1/2, 1/2) is interior for lb < 1/2 and the only feasible point
-        # at lb = 1/2, where n * lb = 1.
-        for lb in (0.0, -0.5, 0.5):
-            sol = solve(QpProblem(gram=SteinGram(np.eye(2)), lower_bound=lb))
-            np.testing.assert_allclose(sol.weights, [0.5, 0.5], atol=1e-8)
-            assert sol.objective == pytest.approx(0.5, abs=1e-9)
+        sol = solve(QpProblem(gram=SteinGram(np.eye(2))))
+        np.testing.assert_allclose(sol.weights, [0.5, 0.5], atol=1e-8)
+        assert sol.objective == pytest.approx(0.5, abs=1e-9)
 
     def test_diagonal_one_three(self):
-        # The line optimum (3/4, 1/4) is interior for lb < 1/4; at
-        # n * lb = 1 the region is the one point (1/2, 1/2). The relaxed
-        # bound is solved to tol 1e-16, as in the oracle tests: the default
-        # tol stops it 2e-7 short of the optimum.
-        cases = [
-            (0.0, None, [0.75, 0.25], 0.75),
-            (-0.5, 1e-16, [0.75, 0.25], 0.75),
-            (0.5, None, [0.5, 0.5], 1.0),
-        ]
-        for lb, tol, weights, objective in cases:
-            sol = solve(QpProblem(gram=SteinGram(np.diag([1.0, 3.0])), lower_bound=lb), tol=tol)
-            np.testing.assert_allclose(sol.weights, weights, atol=1e-7)
-            assert sol.objective == pytest.approx(objective, abs=1e-9)
+        # The line optimum (3/4, 1/4) is interior to the simplex.
+        sol = solve(QpProblem(gram=SteinGram(np.diag([1.0, 3.0]))))
+        np.testing.assert_allclose(sol.weights, [0.75, 0.25], atol=1e-7)
+        assert sol.objective == pytest.approx(0.75, abs=1e-9)
 
     def test_single_point(self):
         sol = solve(QpProblem(gram=SteinGram(np.array([[4.0]]))))
@@ -52,24 +40,13 @@ class TestClosedFormCases:
         np.testing.assert_allclose(sol.weights, np.full(4, 0.25), atol=1e-12)
         assert sol.objective == 0.0
 
-    def test_relaxed_lower_bound_interior_optimum(self):
-        # minimize w1^2 + 100 (1 - w1)^2 has its line optimum at 100/101,
-        # interior to the relaxed box, so the bound does not bind.
-        problem = QpProblem(gram=SteinGram(np.diag([1.0, 100.0])), lower_bound=-1.0)
-        sol = solve(problem, max_iters=20000, tol=1e-16)
-        np.testing.assert_allclose(sol.weights, [100.0 / 101.0, 1.0 / 101.0], atol=1e-7)
-
     def test_sum_is_exactly_one(self):
-        # (lower bound, slack below it): the multiplicative update keeps
-        # w >= 0 exactly at lb = 0, the final renormalization may move a
-        # weight at a negative lb by rounding, and n * lb = 1 is exact.
+        # The multiplicative update keeps w >= 0 exactly.
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            mat = random_psd(rng, 5)
-            for lb, slack in ((0.0, 0.0), (-0.3, 1e-12), (0.2, 0.0)):
-                sol = solve(QpProblem(gram=SteinGram(mat), lower_bound=lb))
-                assert sol.weights.sum() == pytest.approx(1.0, abs=1e-12)
-                assert sol.weights.min() >= lb - slack
+            sol = solve(QpProblem(gram=SteinGram(random_psd(rng, 5))))
+            assert sol.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert sol.weights.min() >= 0.0
 
 
 class TestDispatch:
@@ -80,17 +57,6 @@ class TestDispatch:
         mat = random_psd(rng, 6)
         problem = QpProblem(gram=SteinGram(mat))
         _assert_matches_reference(solve(problem), _reference_mirror_descent(problem, 2000))
-
-    def test_negative_bound_runs_shifted_simplex(self):
-        # A relaxed bound runs the same loop on the shifted simplex.
-        rng = np.random.default_rng(2)
-        mat = random_psd(rng, 4)
-        sol = solve(QpProblem(gram=SteinGram(mat), lower_bound=-0.5))
-        assert sol.weights.min() >= -0.5 - 1e-12
-
-    def test_infeasible_bound_rejected(self):
-        with pytest.raises(ValueError):
-            QpProblem(gram=SteinGram(np.eye(3)), lower_bound=0.5)
 
     def test_stein_gram_matrix_used_without_copy(self):
         target = random_gaussian_mixture(3, 2, seed=1, **GMM_RANGES).as_target()
@@ -111,13 +77,15 @@ class TestSolverAgreement:
             scale = max(abs(md.objective), abs(best), 1e-30)
             assert abs(md.objective - best) / scale < 1e-6
 
-    def test_mirror_descent_trace_monotone(self):
-        rng = np.random.default_rng(3)
-        mat = random_psd(rng, 8)
-        for lb in (0.0, -0.2, 0.125):
-            sol = solve(QpProblem(gram=SteinGram(mat), lower_bound=lb))
-            trace = np.asarray(sol.objective_trace)
-            assert np.all(np.diff(trace) <= 1e-15)
+    def test_objective_at_most_uniform(self):
+        # The solver starts at uniform weights and accepts only decreasing
+        # steps, so uniform's objective bounds its result.
+        grams = [SteinGram(random_psd(np.random.default_rng(3), 8)), _mixture_gram()]
+        for gram in grams:
+            n = gram.matrix.shape[0]
+            uniform = np.full(n, 1.0 / n)
+            sol = solve(QpProblem(gram=gram))
+            assert sol.objective <= float(uniform @ _gram_product(gram.matrix, uniform))
 
 
 class TestEnumerationOracle:
@@ -144,18 +112,6 @@ class TestEnumerationOracle:
             assert (md.objective - best) / scale < 1e-6
             # The oracle can never be beaten by a feasible iterate.
             assert md.objective >= best - 1e-9 * scale
-
-    def test_relaxed_bound_against_oracle(self):
-        for seed in range(10):
-            rng = np.random.default_rng(800 + seed)
-            n = int(rng.integers(2, 5))
-            mat = random_psd(rng, n)
-            lb = float(rng.uniform(-1.0, 0.0))
-            _, best = enumerate_qp_optimum(mat, lower_bound=lb)
-            sol = solve(QpProblem(gram=SteinGram(mat), lower_bound=lb), max_iters=20000, tol=1e-16)
-            scale = max(abs(best), 1e-30)
-            assert abs(sol.objective - best) / scale < 1e-6
-            assert sol.weights.min() >= lb - 1e-12
 
 
 def _matmul_product(mat, x):
@@ -252,7 +208,6 @@ def _assert_matches_reference(sol, reference):
     assert sol.converged == converged
     assert sol.gap == gap
     assert sol.objective == pytest.approx(objective, rel=1e-12)
-    assert sol.objective_trace[-1] == sol.objective
 
 
 class TestSharedGramProduct:
