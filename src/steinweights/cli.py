@@ -91,8 +91,7 @@ def _cmd_weights(args) -> int:
 
 def _cmd_ksd(args) -> int:
     points = read_points(args.points)
-    # A copy: a strided weight column rounds w' K w differently.
-    weights = read_points(args.weights)[:, -1].copy()
+    weights = read_points(args.weights)[:, -1]
     model = build_target_model(_load_json(args.target))
     target = model.as_target()
     gram = _gram_from_args(args, target, points)

@@ -320,8 +320,10 @@ def ksd_weighted(gram: SteinGram, weights: np.ndarray) -> float:
     :class:`GramIntegrityError`.
     """
     mat = gram.matrix
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.shape[0] != mat.shape[0]:
+    # A strided w (a column view, say) can round differently in dsymv
+    # and the dot product than its contiguous copy.
+    w = np.ascontiguousarray(weights, dtype=float)
+    if np.ndim(weights) != 1 or w.shape[0] != mat.shape[0]:
         raise ValueError(
             f"weights shape {w.shape} does not match Gram size {mat.shape[0]}"
         )

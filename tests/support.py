@@ -18,6 +18,9 @@ it. ``frozen_many_chain_moments`` is the moment oracle's batch of chains,
 updated one row at a time with the same formulas. ``frozen_sgld_chains``
 draws every chain's whole run up front, chain by chain, and then steps all
 chains as one batch. The package's samplers must match them bit for bit.
+``lemire_rejection_steps`` replays one SGLD chain's minibatch draws from its
+raw PCG64 words, one 32-bit half at a time, to find the steps on which
+``Generator.choice`` rejected a draw.
 """
 
 import itertools
@@ -371,3 +374,58 @@ def frozen_sgld_chains(model, config):
                     f"of {config.n_steps}"
                 )
     return x
+
+
+def lemire_rejection_steps(config, n_data, dimension, chain):
+    """Steps (1-based) whose minibatch draw rejects a 32-bit half, in one chain.
+
+    Chain ``chain`` draws its init, then per step d noise normals and
+    ``choice(n_data, m, replace=False)``. This replays that choice as Floyd's
+    selection followed by Fisher-Yates swaps, each draw in [0, b) the high
+    32 bits of x * b for the next 32-bit half x of the generator's raw words
+    (low half first, high half kept for the draw after), drawing again while
+    the low 32 bits are below 2**32 mod b. The replay checks every step's
+    indices against ``choice`` on a twin generator.
+    """
+    m = config.minibatch_size
+    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(chain,))
+    rng, twin = np.random.default_rng(seq), np.random.default_rng(seq)
+    rng.standard_normal(dimension)
+    twin.standard_normal(dimension)
+    kept = []
+
+    def next_half():
+        if kept:
+            return kept.pop()
+        word = int(rng.bit_generator.random_raw())
+        kept.append(word >> 32)
+        return word & 0xFFFFFFFF
+
+    rejected = []
+    for step in range(1, config.n_steps + 1):
+        rng.standard_normal(dimension)
+        twin.standard_normal(dimension)
+        rejections = 0
+
+        def below(bound):
+            nonlocal rejections
+            if bound == 1:
+                return 0
+            product = next_half() * bound
+            while product & 0xFFFFFFFF < (2**32 - bound) % bound:
+                rejections += 1
+                product = next_half() * bound
+            return product >> 32
+
+        picks = []
+        for j in range(n_data - m, n_data):
+            value = below(j + 1)
+            picks.append(j if value in picks else value)
+        for i in range(m - 1, 0, -1):
+            k = below(i + 1)
+            picks[i], picks[k] = picks[k], picks[i]
+        if picks != twin.choice(n_data, size=m, replace=False).tolist():
+            raise AssertionError(f"replay differs from choice at step {step}")
+        if rejections:
+            rejected.append(step)
+    return rejected

@@ -12,11 +12,15 @@ from support import (
     GMM_RANGES,
     frozen_many_chain_moments,
     frozen_sgld_chains,
+    lemire_rejection_steps,
     reference_mala_chains,
 )
+from steinweights import samplers
 from steinweights.errors import NonFinitePointsError
 from steinweights.samplers import (
     ChainConfig,
+    _choice_is_floyd,
+    _sgld_draws,
     mala_chain_moments,
     mala_chains,
     sample_gmm_iid,
@@ -333,6 +337,113 @@ class TestSgldReference:
                           init_scale=1.5, minibatch_size=10, seed=23)
         np.testing.assert_array_equal(
             sgld_chains(self.MODEL, cfg), frozen_sgld_chains(self.MODEL, cfg))
+
+    # Over 512 chains a draw batch is one step; 100 chains draw batches of
+    # 5 steps, the last one part-filled; m = 1 and m = n_data - 1.
+    @pytest.mark.parametrize("n_chains, n_steps, m",
+                             [(520, 3, 10), (100, 23, 10), (17, 25, 1), (17, 25, 29)])
+    def test_batch_edges_match_frozen(self, n_chains, n_steps, m):
+        cfg = ChainConfig(n_chains=n_chains, n_steps=n_steps, step_size=0.02,
+                          init_scale=1.5, minibatch_size=m, seed=23)
+        np.testing.assert_array_equal(
+            sgld_chains(self.MODEL, cfg), frozen_sgld_chains(self.MODEL, cfg))
+
+    def test_lemire_rejection_matches_frozen(self):
+        # At seed 5 chain 60's last minibatch draw rejects a 32-bit half.
+        # Its 128 chains draw 4-step batches, and that step falls in the
+        # part-filled last one, after every chain's state was saved at step
+        # 64, so the chain redraws steps 65 to 70 with choice.
+        model = probit_simulate(n_data=2048, dimension=2, seed=3, prior_variance=0.1)
+        cfg = ChainConfig(n_chains=128, n_steps=70, step_size=1e-3, init_scale=1.0,
+                          minibatch_size=64, seed=5)
+        assert lemire_rejection_steps(cfg, model.n_data, model.dimension, chain=60) == [70]
+        np.testing.assert_array_equal(sgld_chains(model, cfg), frozen_sgld_chains(model, cfg))
+
+
+def _assert_draws_match_choice(n_data, m, seed, n_chains=3, n_steps=4, dimension=2):
+    """``_sgld_draws`` against d normals then ``choice`` per step on twin
+    generators: the same draws, and the same generator states after them.
+
+    Odd seeds start every generator with a kept 32-bit half.
+    """
+    rngs, twins = [], []
+    for c in range(n_chains):
+        pair = [np.random.default_rng([seed, c]) for _ in range(2)]
+        if seed % 2:
+            for rng in pair:
+                rng.integers(0, 7)
+            assert pair[0].bit_generator.state["has_uint32"] == 1
+        rngs.append(pair[0])
+        twins.append(pair[1])
+    drawn = [(noise.copy(), batch.copy())
+             for noise, batch in _sgld_draws(rngs, dimension, n_data, m, n_steps)]
+    assert len(drawn) == n_steps
+    for noise, batch in drawn:
+        for c, twin in enumerate(twins):
+            np.testing.assert_array_equal(noise[c], twin.standard_normal(dimension))
+            np.testing.assert_array_equal(batch[c], twin.choice(n_data, size=m, replace=False))
+    for rng, twin in zip(rngs, twins):
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def _emulate_every_floyd_size(monkeypatch):
+    """Lift the size limits of ``_FloydChoice``, which the sampler keeps to
+    the sizes where it is faster than ``choice``."""
+    monkeypatch.setattr(samplers, "_FLOYD_MAX_N", 2**32)
+    monkeypatch.setattr(samplers, "_FLOYD_MAX_M", 2**32)
+
+
+class TestChoiceEmulation:
+    """SGLD minibatch indices equal ``Generator.choice``'s bit for bit.
+
+    Where numpy's choice is Floyd's selection, small enough minibatches are
+    built from raw words; a numpy whose choice draws differently fails here.
+    """
+
+    @pytest.mark.parametrize("n_data, m", [(500, 50), (500, 1), (500, 499), (500, 500),
+                                           (10000, 5000), (20000, 400), (10001, 200)])
+    def test_floyd_sizes_match_choice(self, n_data, m, monkeypatch):
+        assert _choice_is_floyd(n_data, m)
+        _emulate_every_floyd_size(monkeypatch)
+        for seed in range(50):
+            _assert_draws_match_choice(n_data, m, seed)
+
+    def test_no_rejection_no_redraw(self, monkeypatch):
+        # These seeds reject no draw, so no chain redraws with choice: the
+        # sampler builds 50 of 500 from raw words. Words read out of order
+        # would look like rejections and hide in redraws.
+        def no_redraw(*args):
+            raise AssertionError("a chain redrew its batch with choice")
+
+        monkeypatch.setattr(samplers, "_draw_steps", no_redraw)
+        for seed in range(50):
+            _assert_draws_match_choice(500, 50, seed)
+
+    @pytest.mark.parametrize("n_data, m", [(10001, 201), (20000, 401)])
+    def test_tail_shuffle_sizes_draw_with_choice(self, n_data, m, monkeypatch):
+        assert not _choice_is_floyd(n_data, m)
+        _emulate_every_floyd_size(monkeypatch)
+        for seed in range(2):
+            _assert_draws_match_choice(n_data, m, seed)
+        # numpy shuffles the tail of arange(n_data) here, not Floyd's picks.
+        monkeypatch.setattr(samplers, "_choice_is_floyd", lambda n_data, m: True)
+        with pytest.raises(AssertionError):
+            _assert_draws_match_choice(n_data, m, 0)
+
+    def test_rejected_batches_redraw_with_choice(self, monkeypatch):
+        # Flag about half of all chain-steps as rejected, so chains redraw
+        # from their saved states all the time: with one chain and 512-step
+        # batches, with 5-step batches across a save at step 64, and with
+        # one-step batches.
+        init = samplers._FloydChoice.__init__
+
+        def flag_often(self, *args):
+            init(self, *args)
+            self.thresholds[:] = 1 << 25
+
+        monkeypatch.setattr(samplers._FloydChoice, "__init__", flag_often)
+        for n_chains, n_steps in ((1, 600), (100, 80), (600, 3)):
+            _assert_draws_match_choice(500, 50, 7, n_chains, n_steps)
 
 
 def _peak_bytes(run) -> int:

@@ -361,6 +361,19 @@ class TestKsdWeighted:
                 for g in (gram, fortran):
                     assert ksd_weighted(g, w) == pytest.approx(full, rel=1e-12, abs=0.0)
 
+    def test_column_view_matches_contiguous_copy(self):
+        # Weights read as a column of a table are strided; dsymv and the dot
+        # product can round them differently from their contiguous copy.
+        target = random_gaussian_mixture(3, 2, seed=1, **GMM_RANGES).as_target()
+        rng = np.random.default_rng(5)
+        for n in (7, 40, 200):
+            gram = stein_gram(target, RbfKernel(1.5), rng.standard_normal((n, 2)))
+            for _ in range(10):
+                table = np.column_stack((rng.standard_normal(n), rng.dirichlet(np.ones(n))))
+                view = table[:, 1]
+                assert not view.flags.c_contiguous
+                assert ksd_weighted(gram, view) == ksd_weighted(gram, view.copy())
+
     def test_large_negative_is_integrity_error(self):
         gram = SteinGram.__new__(SteinGram)
         object.__setattr__(gram, "matrix", np.array([[1.0, -2.0], [-2.0, 1.0]]))
