@@ -76,21 +76,6 @@ __all__ = [
 
 PARALLEL_ENV_VAR = "STEINWEIGHTS_PARALLEL"
 
-TEST_FUNCTIONS = ("coordinate_mean", "coordinate_square", "random_cosine")
-
-RECORD_COLUMNS = (
-    "scheme",
-    "n",
-    "trial",
-    "test_fn",
-    "estimate",
-    "sq_error",
-    "ksd",
-    "iterations",
-    "wall_ms",
-    "status",
-)
-
 _DOMINANCE_SLACK = 1e-12
 
 
@@ -154,8 +139,7 @@ class ExperimentConfig:
 class ExperimentRecord:
     """One scheme evaluated with one test-function coordinate on one trial.
 
-    ``ground_truth`` travels with the in-memory record for accounting
-    checks but is not a CSV column; it is recomputable from the config.
+    Its fields are the columns of ``records.csv``, in order.
     """
 
     scheme: str
@@ -168,7 +152,9 @@ class ExperimentRecord:
     iterations: int
     wall_ms: float
     status: str
-    ground_truth: float = float("nan")
+
+
+RECORD_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
 @dataclass(frozen=True)
@@ -327,10 +313,7 @@ def _resolve_proposal(prop: dict | None, model) -> GaussianMixture:
                 "iid sampling from the target or an interpolated proposal needs a mixture target"
             )
         return model if prop is None else gaussianity_interpolation(model, prop["lam"])
-    built = build_target_model(prop)
-    if not isinstance(built, GaussianMixture):
-        raise UnsupportedConfigurationError("proposal must be a mixture")
-    return built
+    return build_target_model(prop)
 
 
 def probit_ground_truth(
@@ -434,11 +417,44 @@ def _sample_points(ctx: _RunContext, n: int, seed_seq: np.random.SeedSequence) -
     return sgld_chains(ctx.model, config)
 
 
-def _record_ids(fn: str, dimension: int) -> list[str]:
-    """Record ids of one test function: one per coordinate, or one in all."""
-    if fn == "random_cosine":
-        return [fn]
-    return [f"{fn}.{i}" for i in range(dimension)]
+@dataclass(frozen=True)
+class _TestFunction:
+    """A test function: its values at the points and its expectation.
+
+    ``values(points, omega, offset)`` is an (n, d) array, one column per
+    coordinate, or an (n,) array for a ``scalar`` function, so a weighted
+    estimate is ``weights @ values``. ``expectation(ground, omega, offset)``
+    gives the matching d values, or one, from a ``GroundTruth``. ``omega``
+    and ``offset`` are the trial's cosine frequency and phase.
+    """
+
+    kind: str
+    values: Callable
+    expectation: Callable
+    scalar: bool = False
+
+    def record_ids(self, dimension: int) -> list[str]:
+        """One record id per coordinate, or one in all for a scalar function."""
+        if self.scalar:
+            return [self.kind]
+        return [f"{self.kind}.{i}" for i in range(dimension)]
+
+
+def _cosine_values(points, omega, offset):
+    if omega is None or offset is None:
+        raise ValueError("random_cosine needs omega and offset")
+    return np.cos(points @ omega + offset)
+
+
+# Every test function by kind, for ExperimentConfig and the harness.
+TEST_FUNCTIONS = {fn.kind: fn for fn in (
+    _TestFunction("coordinate_mean", lambda points, omega, offset: points,
+                  lambda ground, omega, offset: ground.mean),
+    _TestFunction("coordinate_square", lambda points, omega, offset: points * points,
+                  lambda ground, omega, offset: ground.second_moment),
+    _TestFunction("random_cosine", _cosine_values,
+                  lambda ground, omega, offset: ground.cosine(omega, offset), scalar=True),
+)}
 
 
 def evaluate_test_function(
@@ -453,26 +469,12 @@ def evaluate_test_function(
     Returns record ids and the matching estimate values; vector-valued
     functions contribute one id per coordinate.
     """
+    if kind not in TEST_FUNCTIONS:
+        raise ValueError(f"unknown test function {kind!r}")
+    fn = TEST_FUNCTIONS[kind]
     pts = np.asarray(points, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if kind == "coordinate_mean":
-        vals = w @ pts
-    elif kind == "coordinate_square":
-        vals = w @ (pts * pts)
-    elif kind == "random_cosine":
-        if omega is None or offset is None:
-            raise ValueError("random_cosine needs omega and offset")
-        vals = np.array([float(w @ np.cos(pts @ omega + offset))])
-    else:
-        raise ValueError(f"unknown test function {kind!r}")
-    return _record_ids(kind, pts.shape[1]), vals
-
-
-def _truth_values(ctx: _RunContext, kind: str, omega, offset) -> np.ndarray:
-    if kind == "random_cosine":
-        return np.array([ctx.ground.cosine(omega, offset)])
-    moment = ctx.ground.mean if kind == "coordinate_mean" else ctx.ground.second_moment
-    return np.asarray(moment, dtype=float)
+    return fn.record_ids(pts.shape[1]), np.atleast_1d(w @ fn.values(pts, omega, offset))
 
 
 @dataclass(frozen=True)
@@ -563,19 +565,21 @@ _TARGETS = {
     },
 }
 # Every key of every config section by (section, kind): the top level is
-# ("config", None), a proposal takes any target kind or "interpolated", and
-# each scheme its SCHEMES options and a label. Chain-sampler numbers have
+# ("config", None), a proposal takes a mixture target kind or "interpolated",
+# and each scheme its SCHEMES options and a label. Chain-sampler numbers have
 # their ranges in ChainConfig only.
 SPECS = {
     ("config", None): {
         "target": Option("target"), "sampler": Option("sampler", {"kind": "iid"}),
         "schemes": Option("scheme", items=0), "n_grid": Option(int, minimum=2, items=0),
-        "trials": Option(int, minimum=1), "test_functions": Option(TEST_FUNCTIONS, items=0),
+        "trials": Option(int, minimum=1),
+        "test_functions": Option(tuple(TEST_FUNCTIONS), items=0),
         "seed": _SEED, "output_dir": Option(str, None),
         "ground_truth": Option("ground_truth", None), "record_timing": Option(bool, False),
     },
     **{("target", kind): row for kind, row in _TARGETS.items()},
-    **{("proposal", kind): row for kind, row in _TARGETS.items()},
+    **{("proposal", kind): _TARGETS[kind]
+       for kind in ("standard_normal", "gmm", "gmm_fixture")},
     ("proposal", "interpolated"): {"lam": Option(float, minimum=0.0, maximum=1.0)},
     ("sampler", "iid"): {"proposal": Option("proposal", None)},
     ("sampler", "mala"): {
@@ -597,32 +601,23 @@ SPECS = {
 }
 
 
-def _failed_records(ctx: _RunContext, n: int, trial: int, scheme_label: str) -> list:
-    nan = float("nan")
-    return [
-        ExperimentRecord(
-            scheme=scheme_label,
-            n=n,
-            trial=trial,
-            test_fn=rid,
-            estimate=nan,
-            sq_error=nan,
-            ksd=nan,
-            iterations=0,
-            wall_ms=0.0,
-            status="failed",
-        )
-        for fn in ctx.config.test_functions
-        for rid in _record_ids(fn, ctx.target.dimension)
-    ]
-
-
 def _trial_records(ctx: _RunContext, n: int, trial: int) -> list:
+    """Every record of one (n, trial) cell, scheme by scheme.
+
+    A ``SteinWeightsError`` while drawing the points or building the Gram
+    fails every scheme's rows; one from a scheme's weights or their KSD
+    fails that scheme's rows only.
+    """
     cfg = ctx.config
     root = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(n, trial))
     points_ss, fn_ss = root.spawn(2)
-    fn_rng = np.random.default_rng(fn_ss)
     omega = offset = None
+    if "random_cosine" in cfg.test_functions:
+        fn_rng = np.random.default_rng(fn_ss)
+        omega = fn_rng.standard_normal(ctx.target.dimension)
+        offset = float(fn_rng.uniform(0.0, 2.0 * np.pi))
+    fns = [TEST_FUNCTIONS[kind] for kind in cfg.test_functions]
+    ids = [rid for fn in fns for rid in fn.record_ids(ctx.target.dimension)]
     try:
         points = _sample_points(ctx, n, points_ss)
         if not np.all(np.isfinite(points)):
@@ -631,51 +626,45 @@ def _trial_records(ctx: _RunContext, n: int, trial: int) -> list:
         kernel = RbfKernel(bandwidth)
         gram = stein_gram(ctx.target, kernel, points)
     except SteinWeightsError:
-        return [
-            rec
-            for label, _, _ in ctx.schemes
-            for rec in _failed_records(ctx, n, trial, label)
-        ]
-    if "random_cosine" in cfg.test_functions:
-        omega = fn_rng.standard_normal(ctx.target.dimension)
-        offset = float(fn_rng.uniform(0.0, 2.0 * np.pi))
+        points = None
+    else:
+        values = [fn.values(points, omega, offset) for fn in fns]
+        truths = [float(t) for fn in fns
+                  for t in np.atleast_1d(fn.expectation(ctx.ground, omega, offset))]
+    nan = float("nan")
     records = []
     ksd_by_kind: dict[str, float] = {}
     for label, entry, options in ctx.schemes:
-        start = time.perf_counter()
-        try:
-            weights, iterations = entry.weights(
-                ctx.target, points, gram, ctx.proposal_log_density, entry.normalize,
-                **options,
-            )
-        except SteinWeightsError:
-            records.extend(_failed_records(ctx, n, trial, label))
-            continue
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        wall_ms = elapsed_ms if cfg.record_timing else 0.0
-        ksd_val = ksd_weighted(gram, weights)
-        if entry.kind in ("uniform", "exact_is", "stein"):
-            ksd_by_kind.setdefault(entry.kind, ksd_val)
-        for fn in cfg.test_functions:
-            ids, estimates = evaluate_test_function(fn, points, weights, omega, offset)
-            truths = _truth_values(ctx, fn, omega, offset)
-            for rid, est, truth in zip(ids, estimates, truths):
-                err = (float(est) - float(truth)) ** 2
-                records.append(
-                    ExperimentRecord(
-                        scheme=label,
-                        n=n,
-                        trial=trial,
-                        test_fn=rid,
-                        estimate=float(est),
-                        sq_error=err,
-                        ksd=ksd_val,
-                        iterations=int(iterations),
-                        wall_ms=wall_ms,
-                        status="ok",
-                        ground_truth=float(truth),
-                    )
+        row = {"ksd": nan, "iterations": 0, "wall_ms": 0.0, "status": "failed"}
+        estimates = errors = [nan] * len(ids)
+        if points is not None:
+            start = time.perf_counter()
+            try:
+                weights, iterations = entry.weights(
+                    ctx.target, points, gram, ctx.proposal_log_density, entry.normalize,
+                    **options,
                 )
+                elapsed_ms = (time.perf_counter() - start) * 1000.0
+                ksd_val = ksd_weighted(gram, weights)
+            except SteinWeightsError:
+                pass
+            else:
+                row = {
+                    "ksd": ksd_val,
+                    "iterations": int(iterations),
+                    "wall_ms": elapsed_ms if cfg.record_timing else 0.0,
+                    "status": "ok",
+                }
+                estimates = [float(e) for v in values for e in np.atleast_1d(weights @ v)]
+                errors = [(e - t) ** 2 for e, t in zip(estimates, truths)]
+                if entry.kind in ("uniform", "exact_is", "stein"):
+                    ksd_by_kind.setdefault(entry.kind, ksd_val)
+        records.extend(
+            ExperimentRecord(
+                scheme=label, n=n, trial=trial, test_fn=rid, estimate=est, sq_error=err, **row
+            )
+            for rid, est, err in zip(ids, estimates, errors)
+        )
     if "stein" in ksd_by_kind:
         for other in ("uniform", "exact_is"):
             if other in ksd_by_kind:

@@ -103,7 +103,9 @@ _DRAW_BATCH = 512
 # flag table, one byte per chain-step and data point, with n_data. At
 # d = 10 and n_data from 500 to 8192 it took 0.4-0.8 of choice's time at
 # m = 50 and 0.6-1.0 at m = 100-150 with 200 chains; with 20 chains,
-# 0.6-0.8 at m <= 50 and up to 1.3 above.
+# 0.6-0.8 at m <= 50 and up to 1.3 above. numpy's choice is Floyd's
+# selection at every m when n_data <= 10000, and shuffles instead above
+# that once m > n_data // 50, so _FLOYD_MAX_N must stay at or below 10000.
 _FLOYD_MAX_N = 2048
 _FLOYD_MAX_M = 64
 # Steps between _FloydChoice's saves of every chain's state. A save costs
@@ -193,17 +195,6 @@ def mala_chains(target: ScoreTarget, config: ChainConfig) -> np.ndarray:
     return x
 
 
-def _choice_is_floyd(n_data: int, m: int) -> bool:
-    """Whether ``Generator.choice(n_data, m, replace=False)`` is Floyd's
-    selection from 32-bit draws, which ``_FloydChoice`` repeats.
-
-    Otherwise numpy shuffles the tail of ``arange(n_data)``, when n_data >
-    10000 and m > n_data // 50, or draws 64-bit integers, when n_data >=
-    2**32.
-    """
-    return n_data < 2**32 and (n_data <= 10_000 or m <= n_data // 50)
-
-
 def _draw_steps(rng, noise, batches, n_data: int, m: int) -> None:
     """One chain's draws for ``len(noise)`` steps, each d normals into its
     row of ``noise``, then ``choice(n_data, m, replace=False)`` into its
@@ -222,9 +213,9 @@ def _sgld_draws(rngs, dimension: int, n_data: int, m: int, n_steps: int):
     are drawn in batches of at most _DRAW_BATCH chain-steps, or of one step
     of every chain when there are more chains, into buffers that every
     batch reuses; each yielded pair is a view of them. Up to
-    _FLOYD_MAX_M indices from up to _FLOYD_MAX_N data points, where
-    ``_choice_is_floyd`` holds, ``_FloydChoice`` builds a batch's indices
-    from the chains' raw words. Once the last step is drawn, every
+    _FLOYD_MAX_M indices from up to _FLOYD_MAX_N data points, where numpy's
+    ``choice`` is Floyd's selection, ``_FloydChoice`` builds a batch's
+    indices from the chains' raw words. Once the last step is drawn, every
     generator is in the state that the direct draws leave it in.
     """
     n_chains = len(rngs)
@@ -232,7 +223,7 @@ def _sgld_draws(rngs, dimension: int, n_data: int, m: int, n_steps: int):
     noise = np.empty((span, n_chains, dimension))
     batches = np.empty((span, n_chains, m), dtype=np.int64)
     floyd = None
-    if 0 < m <= _FLOYD_MAX_M and n_data <= _FLOYD_MAX_N and _choice_is_floyd(n_data, m):
+    if 0 < m <= _FLOYD_MAX_M and n_data <= _FLOYD_MAX_N:
         floyd = _FloydChoice(rngs, n_data, m, noise, batches)
     for start in range(0, n_steps, span):
         steps = min(span, n_steps - start)
@@ -249,9 +240,10 @@ def _sgld_draws(rngs, dimension: int, n_data: int, m: int, n_steps: int):
 class _FloydChoice:
     """``choice(n_data, m, replace=False)`` of many PCG64 chain-steps at once.
 
-    Where ``_choice_is_floyd`` holds, numpy's ``choice`` is Floyd's
-    selection: for j = n_data - m, ..., n_data - 1 it draws v in [0, j] and
-    takes v, or j when v is already taken. It then shuffles the m picks by
+    Up to n_data = 10000, and above that for m <= n_data // 50 while
+    n_data < 2**32, numpy's ``choice`` is Floyd's selection: for
+    j = n_data - m, ..., n_data - 1 it draws v in [0, j] and takes v, or
+    j when v is already taken. It then shuffles the m picks by
     swapping position i = m - 1, ..., 1 with a draw in [0, i]. A draw below
     a bound b > 1 is Lemire's (x * b) >> 32 of the next 32-bit half x of
     the chain's PCG64 words, a word's low half first and its high half

@@ -52,10 +52,7 @@ class QpProblem:
     gram: SteinGram
 
     def __post_init__(self):
-        mat = self.gram.matrix
-        if mat.shape[0] < 1:
-            raise ValueError(f"gram must be non-empty, got shape {mat.shape}")
-        object.__setattr__(self, "gram", mat)
+        object.__setattr__(self, "gram", self.gram.matrix)
 
     @property
     def n(self) -> int:

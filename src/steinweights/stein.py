@@ -143,8 +143,9 @@ class SteinGram:
 
     The one Gram type that :func:`ksd_weighted`, the simplex solver and the
     control-functional weights take; wrap your own matrix as
-    ``SteinGram(matrix)``. Construction validates symmetry to 1e-12
-    relative to the largest entry and stores the symmetric part, so
+    ``SteinGram(matrix)``. Construction takes a non-empty square matrix
+    (any other shape is a ValueError that names it), validates symmetry
+    to 1e-12 relative to the largest entry and stores the symmetric part, so
     ``matrix`` is exactly symmetric; it is also C- or F-contiguous (any
     other layout is copied once, here), so every BLAS ``dsymv`` takes it
     without a copy. At every n it then checks the smallest eigenvalue
@@ -164,11 +165,11 @@ class SteinGram:
 
     def __post_init__(self, _mirrored: bool):
         mat = np.asarray(self.matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"Gram matrix must be square, got shape {mat.shape}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+            raise ValueError(f"Gram matrix must be square and non-empty, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise GramIntegrityError("Gram matrix contains non-finite entries")
-        if not _mirrored and mat.size:
+        if not _mirrored:
             scale = float(np.max(np.abs(mat)))
             asym = float(np.max(np.abs(mat - mat.T)))
             if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
@@ -180,16 +181,14 @@ class SteinGram:
         if not (mat.flags.c_contiguous or mat.flags.f_contiguous):
             mat = np.ascontiguousarray(mat)
         object.__setattr__(self, "matrix", mat)
-        ridge, factor = 0.0, None
-        if mat.size:
-            ridge = _PSD_RTOL * mat.shape[0] * max(float(np.max(np.diag(mat))), 0.0)
-            factor = _ridge_cholesky(mat, ridge)
-            if factor is None:
-                lam_min = float(np.linalg.eigvalsh(mat)[0])
-                if lam_min < -ridge:
-                    raise GramIntegrityError(
-                        f"Gram matrix min eigenvalue {lam_min:.3e} below PSD floor {-ridge:.3e}"
-                    )
+        ridge = _PSD_RTOL * mat.shape[0] * max(float(np.max(np.diag(mat))), 0.0)
+        factor = _ridge_cholesky(mat, ridge)
+        if factor is None:
+            lam_min = float(np.linalg.eigvalsh(mat)[0])
+            if lam_min < -ridge:
+                raise GramIntegrityError(
+                    f"Gram matrix min eigenvalue {lam_min:.3e} below PSD floor {-ridge:.3e}"
+                )
         object.__setattr__(self, "ridge", ridge)
         object.__setattr__(self, "factor", factor)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from steinweights import harness, simplex_qp, targets
-from steinweights.errors import DominanceError
+from steinweights.errors import DominanceError, GramIntegrityError, SolverError
 from steinweights.harness import (
     ExperimentConfig,
     ExperimentRecord,
@@ -88,6 +88,28 @@ class TestConfigValidation:
     def test_unknown_test_function_rejected(self):
         with pytest.raises(ValueError):
             small_config(test_functions=["cubes"])
+
+    def test_proposal_kinds_are_the_mixture_targets(self):
+        kinds = {kind for section, kind in harness.SPECS if section == "proposal"}
+        assert kinds == {"standard_normal", "gmm", "gmm_fixture", "interpolated"}
+        for kind in kinds - {"interpolated"}:
+            assert harness.SPECS["proposal", kind] is harness.SPECS["target", kind]
+
+    def test_probit_proposal_rejected_before_any_file(self, tmp_path, monkeypatch):
+        # A probit proposal is no mixture to draw from; its dataset_out must
+        # not be written before the config is refused.
+        dataset = tmp_path / "probit.csv"
+        data = small_config().to_dict()
+        data["sampler"] = {"kind": "iid", "proposal": {
+            "kind": "probit_simulated", "n_data": 20, "dimension": 2, "seed": 4,
+            "dataset_out": str(dataset)}}
+        message = "unknown proposal kind 'probit_simulated'"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(data)
+        monkeypatch.delenv("STEINWEIGHTS_PARALLEL", raising=False)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(data)
+        assert not dataset.exists()
 
     def test_duplicate_scheme_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -415,6 +437,16 @@ class TestReadmeSpecKeys:
 
 
 class TestTestFunctions:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown test function 'cubes'"):
+            evaluate_test_function("cubes", np.zeros((2, 1)), np.full(2, 0.5))
+
+    @pytest.mark.parametrize("omega, offset", [(None, 0.5), (np.ones(2), None), (None, None)])
+    def test_cosine_needs_omega_and_offset(self, omega, offset):
+        with pytest.raises(ValueError, match="random_cosine needs omega and offset"):
+            evaluate_test_function("random_cosine", np.zeros((3, 2)), np.full(3, 1.0 / 3.0),
+                                   omega=omega, offset=offset)
+
     def test_coordinate_square_values(self):
         pts = np.array([[2.0, -1.0]])
         ids, vals = evaluate_test_function("coordinate_square", pts, np.array([1.0]))
@@ -544,6 +576,55 @@ class TestRunExperiment:
         rows = summarize(result.records)
         assert all(row.trials_ok == 0 and row.trials_failed == 2 for row in rows)
         assert all(math.isnan(row.mse) for row in rows)
+
+    def test_scheme_ksd_error_fails_that_scheme_only(self, monkeypatch):
+        # A broken discrepancy for the stein weights fails the stein rows;
+        # the uniform rows and the rest of the run go on unchanged.
+        ksd = harness.ksd_weighted
+
+        def failing_for_nonuniform(gram, weights):
+            if np.ptp(weights) > 0.0:
+                raise GramIntegrityError("w' K w below the PSD floor")
+            return ksd(gram, weights)
+
+        monkeypatch.delenv("STEINWEIGHTS_PARALLEL", raising=False)
+        clean = run_experiment(small_config()).records
+        monkeypatch.setattr(harness, "ksd_weighted", failing_for_nonuniform)
+        result = run_experiment(small_config())
+        assert len(result.records) == len(clean)
+        for rec, before in zip(result.records, clean):
+            if rec.scheme == "stein":
+                assert rec.status == "failed"
+                assert math.isnan(rec.estimate) and math.isnan(rec.ksd)
+                assert (rec.iterations, rec.wall_ms) == (0, 0.0)
+            else:
+                assert rec == before
+        rows = summarize(result.records)
+        assert {row.trials_failed for row in rows if row.scheme == "stein"} == {3}
+        assert {row.trials_failed for row in rows if row.scheme == "uniform"} == {0}
+
+    def test_record_timing_moves_only_ok_wall_ms(self, monkeypatch):
+        # With timing on, ok rows carry the weights call's ms and failed
+        # rows 0.0; every other column is the untimed run's.
+        solve = simplex_qp.solve
+
+        def failing_at_20(problem, **kwargs):
+            if problem.n == 20:
+                raise SolverError("no solve at n = 20")
+            return solve(problem, **kwargs)
+
+        monkeypatch.setattr(simplex_qp, "solve", failing_at_20)
+        monkeypatch.delenv("STEINWEIGHTS_PARALLEL", raising=False)
+        untimed = run_experiment(small_config()).records
+        timed = run_experiment(small_config(record_timing=True)).records
+        statuses = {(rec.scheme, rec.n, rec.status) for rec in timed}
+        assert ("stein", 20, "failed") in statuses and ("stein", 40, "ok") in statuses
+        assert all(rec.wall_ms > 0.0 for rec in timed if rec.status == "ok")
+        assert all(rec.wall_ms == 0.0 for rec in timed if rec.status == "failed")
+        assert all(rec.wall_ms == 0.0 for rec in untimed)
+        others = [c for c in harness.RECORD_COLUMNS if c != "wall_ms"]
+        assert [[repr(getattr(rec, c)) for c in others] for rec in timed] == [
+            [repr(getattr(rec, c)) for c in others] for rec in untimed]
 
     def test_diverging_chain_marked_failed(self):
         # The non-finite points must fail the trial, not abort the run.

@@ -19,7 +19,6 @@ from steinweights import samplers
 from steinweights.errors import NonFinitePointsError
 from steinweights.samplers import (
     ChainConfig,
-    _choice_is_floyd,
     _sgld_draws,
     mala_chain_moments,
     mala_chains,
@@ -403,7 +402,6 @@ class TestChoiceEmulation:
     @pytest.mark.parametrize("n_data, m", [(500, 50), (500, 1), (500, 499), (500, 500),
                                            (10000, 5000), (20000, 400), (10001, 200)])
     def test_floyd_sizes_match_choice(self, n_data, m, monkeypatch):
-        assert _choice_is_floyd(n_data, m)
         _emulate_every_floyd_size(monkeypatch)
         for seed in range(50):
             _assert_draws_match_choice(n_data, m, seed)
@@ -421,12 +419,13 @@ class TestChoiceEmulation:
 
     @pytest.mark.parametrize("n_data, m", [(10001, 201), (20000, 401)])
     def test_tail_shuffle_sizes_draw_with_choice(self, n_data, m, monkeypatch):
-        assert not _choice_is_floyd(n_data, m)
-        _emulate_every_floyd_size(monkeypatch)
+        # numpy's choice is Floyd's selection at every n_data <= 10000, so
+        # the emulation's limit stays there; here numpy shuffles the tail of
+        # arange(n_data) instead, and the sampler must draw with choice.
+        assert samplers._FLOYD_MAX_N <= 10_000
         for seed in range(2):
             _assert_draws_match_choice(n_data, m, seed)
-        # numpy shuffles the tail of arange(n_data) here, not Floyd's picks.
-        monkeypatch.setattr(samplers, "_choice_is_floyd", lambda n_data, m: True)
+        _emulate_every_floyd_size(monkeypatch)
         with pytest.raises(AssertionError):
             _assert_draws_match_choice(n_data, m, 0)
 

@@ -1,6 +1,7 @@
 """Score-weighted kernel, Gram assembly, weighted discrepancy, identity check."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -121,6 +122,13 @@ class TestSteinGram:
         mat = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(GramIntegrityError):
             SteinGram(mat)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0,), (2, 3)])
+    def test_rejects_empty_or_non_square_matrix(self, shape):
+        # An empty Gram would otherwise fail later, inside BLAS or numpy's
+        # reductions, in the discrepancy and the control-functional weights.
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            SteinGram(np.zeros(shape))
 
     def test_strided_matrix_stored_contiguous_and_used_without_copy(self, monkeypatch):
         # A strided view is copied once, into a contiguous matrix, when the
