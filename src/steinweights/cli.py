@@ -8,7 +8,10 @@ import json
 import sys
 
 from .errors import SteinWeightsError
-from .harness import SCHEMES, build_target_model, parse_spec, read_points, run_experiment
+from .harness import (
+    SCHEMES, build_target_model, check_proposal, parse_spec, read_points, resolve_proposal,
+    run_experiment,
+)
 from .kernels import RbfKernel, median_heuristic_bandwidth
 from .stein import ksd_weighted, stein_gram
 
@@ -77,11 +80,17 @@ def _cmd_weights(args) -> int:
     given = {name: v for name in scheme.options if (v := getattr(args, name)) is not None}
     spec = parse_spec("scheme", {"kind": scheme.kind, **given})
     options = {name: spec[name] for name in scheme.options}
-    points = read_points(args.points)
-    target = build_target_model(_load_json(args.target)).as_target()
-    log_q = None
+    # A config's proposal kinds, parsed and checked against the target spec
+    # before the target is built, which may write a probit dataset.
+    target_spec = parse_spec("target", _load_json(args.target))
+    proposal = None
     if args.proposal is not None:
-        log_q = build_target_model(_load_json(args.proposal)).log_density
+        proposal = parse_spec("proposal", _load_json(args.proposal))
+        check_proposal(proposal, target_spec)
+    points = read_points(args.points)
+    model = build_target_model(target_spec)
+    target = model.as_target()
+    log_q = None if proposal is None else resolve_proposal(proposal, model).log_density
     scheme.check_inputs(target, log_q)
     gram = _gram_from_args(args, target, points) if scheme.needs_gram else None
     weights, _ = scheme.weights(target, points, gram, log_q, scheme.normalize, **options)

@@ -305,14 +305,25 @@ def build_target_model(spec: dict):
     return model
 
 
-def _resolve_proposal(prop: dict | None, model) -> GaussianMixture:
-    """The iid sampler's mixture from its parsed ``proposal``."""
-    if prop is None or prop["kind"] == "interpolated":
-        if not isinstance(model, GaussianMixture):
-            raise UnsupportedConfigurationError(
-                "iid sampling from the target or an interpolated proposal needs a mixture target"
-            )
-        return model if prop is None else gaussianity_interpolation(model, prop["lam"])
+def check_proposal(prop: dict | None, target: dict) -> None:
+    """Reject a parsed ``proposal`` that needs a mixture ``target`` spec:
+    iid sampling from the target (``prop`` None) or ``interpolated``.
+
+    It reads only the specs, so it runs before the target is built, which
+    for ``probit_simulated`` may write its dataset.
+    """
+    if (prop is None or prop["kind"] == "interpolated") and target["kind"] not in _MIXTURE_KINDS:
+        raise UnsupportedConfigurationError(
+            "iid sampling from the target or an interpolated proposal needs a mixture target"
+        )
+
+
+def resolve_proposal(prop: dict | None, model) -> GaussianMixture:
+    """The mixture a parsed ``proposal`` names, once ``check_proposal`` passed."""
+    if prop is None:
+        return model
+    if prop["kind"] == "interpolated":
+        return gaussianity_interpolation(model, prop["lam"])
     return build_target_model(prop)
 
 
@@ -381,11 +392,13 @@ class _RunContext:
 
 def _build_context(cfg: ExperimentConfig) -> _RunContext:
     sampler = cfg.parsed["sampler"]
+    if sampler["kind"] == "iid":
+        check_proposal(sampler["proposal"], cfg.parsed["target"])
     model = build_target_model(cfg.parsed["target"])
     target = model.as_target()
     proposal = proposal_log_density = None
     if sampler["kind"] == "iid":
-        proposal = _resolve_proposal(sampler["proposal"], model)
+        proposal = resolve_proposal(sampler["proposal"], model)
         proposal_log_density = proposal.log_density
     elif sampler["kind"] == "sgld":
         if not hasattr(model, "data_score_minibatch"):
@@ -548,6 +561,7 @@ SCHEMES = {scheme.kind: scheme for scheme in (
     Scheme("kde_normalized", _kde, _KDE_BANDWIDTH),
 )}
 
+_MIXTURE_KINDS = ("standard_normal", "gmm", "gmm_fixture")
 _SEED = Option(int, minimum=0)
 _PRIOR_VARIANCE = Option(float, 0.1, minimum=0.0, above=True)
 _TARGETS = {
@@ -578,8 +592,7 @@ SPECS = {
         "ground_truth": Option("ground_truth", None), "record_timing": Option(bool, False),
     },
     **{("target", kind): row for kind, row in _TARGETS.items()},
-    **{("proposal", kind): _TARGETS[kind]
-       for kind in ("standard_normal", "gmm", "gmm_fixture")},
+    **{("proposal", kind): _TARGETS[kind] for kind in _MIXTURE_KINDS},
     ("proposal", "interpolated"): {"lam": Option(float, minimum=0.0, maximum=1.0)},
     ("sampler", "iid"): {"proposal": Option("proposal", None)},
     ("sampler", "mala"): {

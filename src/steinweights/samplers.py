@@ -33,6 +33,11 @@ The moment oracle ``mala_chain_moments`` instead runs C = min(64,
 ``n_draws``) chains from the one generator ``default_rng(seed)``. Every
 chain starts at ``init`` (or at zeros), and each step draws a (C, d) block
 of proposal normals, then C acceptance uniforms.
+
+Each MALA step, in ``mala_chains`` and ``mala_chain_moments`` alike,
+evaluates the target once on all its proposals: one call to the target's
+``log_density_and_score`` when it has one, else ``log_density`` and then
+``score``.
 """
 
 from __future__ import annotations
@@ -145,18 +150,31 @@ def _chain_starts(config: ChainConfig, dimension: int):
     return rngs, config.init_scale * inits
 
 
+def _log_density_and_score(target: ScoreTarget, points):
+    """The target's log-density, (c,), and score, (c, d), at ``points``.
+
+    One call to the target's ``log_density_and_score`` when it has one;
+    otherwise ``log_density``, then ``score``.
+    """
+    joint = getattr(target, "log_density_and_score", None)
+    if joint is not None:
+        log_p, score = joint(points)
+    else:
+        log_p, score = target.log_density(points), target.score(points)
+    return np.asarray(log_p, dtype=float), np.asarray(score, dtype=float)
+
+
 def _mala_step(target: ScoreTarget, x, log_p, score, eps: float, xi, uniforms):
     """One MALA step of each row of ``x``, (c, d), with normals ``xi``, (c, d).
 
     The proposal x + eps * score + sqrt(2 eps) xi replaces a row when the
     log of its uniform is below the log Metropolis acceptance ratio. The
     correction vanishes at ``eps = 0``, where the proposal is ``x`` itself.
-    Returns the new rows, their log-densities and scores, and the (c,)
-    acceptance mask.
+    The target is evaluated once, on all c proposals. Returns the new rows,
+    their log-densities and scores, and the (c,) acceptance mask.
     """
     proposal = x + eps * score + np.sqrt(2.0 * eps) * xi
-    log_p_prop = np.asarray(target.log_density(proposal), dtype=float)
-    score_prop = np.asarray(target.score(proposal), dtype=float)
+    log_p_prop, score_prop = _log_density_and_score(target, proposal)
     log_alpha = log_p_prop - log_p
     if eps > 0.0:
         fwd = proposal - x - eps * score
@@ -185,8 +203,7 @@ def mala_chains(target: ScoreTarget, config: ChainConfig) -> np.ndarray:
     uniforms = np.empty(config.n_chains)
     chains = list(enumerate(zip(rngs, noise)))
     eps = config.step_size
-    log_p = np.asarray(target.log_density(x), dtype=float)
-    score = np.asarray(target.score(x), dtype=float)
+    log_p, score = _log_density_and_score(target, x)
     for _ in range(config.n_steps):
         for c, (rng, row) in chains:
             rng.standard_normal(out=row)
@@ -475,8 +492,7 @@ def mala_chain_moments(
     start = np.zeros(d) if init is None else np.asarray(init, dtype=float).reshape(d)
     x = np.tile(start, (chains, 1))
     eps = float(step_size)
-    log_p = np.asarray(target.log_density(x), dtype=float)
-    score = np.asarray(target.score(x), dtype=float)
+    log_p, score = _log_density_and_score(target, x)
     # Per-chain sums, added over chains once at the end.
     sum_x = np.zeros((chains, d))
     sum_sq = np.zeros((chains, d))

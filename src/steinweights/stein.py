@@ -54,18 +54,23 @@ class ScoreTarget:
     gradients of log p. ``log_density`` maps (n, d) to (n,) and may be
     unnormalized; ``density_normalized`` records whether its values are the
     actual log-density rather than off by an additive constant.
+    ``log_density_and_score`` maps (n, d) to the pair (log_density(x),
+    score(x)) at the cost of one evaluation; the MALA samplers call it once
+    per step when it is given.
 
     Attributes:
         dimension: point dimension d.
         score: batched score callable.
         log_density: optional batched log-density callable.
         density_normalized: whether ``log_density`` is normalized.
+        log_density_and_score: optional callable giving both at once.
     """
 
     dimension: int
     score: Callable[[np.ndarray], np.ndarray]
     log_density: Callable[[np.ndarray], np.ndarray] | None = None
     density_normalized: bool = False
+    log_density_and_score: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def _as_batch(self, points: np.ndarray) -> tuple[np.ndarray, bool]:
         pts = np.asarray(points, dtype=float)

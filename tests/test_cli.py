@@ -175,6 +175,32 @@ class TestWeightsMatchHarness:
         weights = np.array([float(line.split(",")[1]) for line in lines])
         np.testing.assert_array_equal(weights, expected)
 
+    def test_interpolated_proposal_is_the_harness_proposal(self, tmp_path):
+        proposal = {"kind": "interpolated", "lam": 0.3}
+        cfg = harness.ExperimentConfig.from_dict({
+            "seed": 1, "target": self.TARGET,
+            "sampler": {"kind": "iid", "proposal": proposal},
+            "n_grid": [30], "trials": 1, "schemes": [{"kind": "exact_is"}],
+            "test_functions": ["coordinate_mean"],
+        })
+        ctx = harness._build_context(cfg)
+        points = harness._sample_points(ctx, 30, np.random.SeedSequence(5))
+        [(_, entry, _)] = ctx.schemes
+        expected, _ = entry.weights(
+            ctx.target, points, None, ctx.proposal_log_density, entry.normalize)
+
+        points_path = tmp_path / "points.csv"
+        write_points(points_path, points)
+        assert main([
+            "weights", "--points", str(points_path), "--scheme", "exact_is",
+            "--target", _write_json(tmp_path / "target.json", self.TARGET),
+            "--proposal", _write_json(tmp_path / "q.json", proposal),
+            "--output", str(tmp_path / "w.csv"),
+        ]) == 0
+        lines = (tmp_path / "w.csv").read_text().splitlines()[1:]
+        weights = np.array([float(line.split(",")[1]) for line in lines])
+        np.testing.assert_array_equal(weights, expected)
+
 
 class TestKsdCommand:
     def test_matches_library_value(self, tmp_path, capsys):
@@ -230,6 +256,43 @@ class TestErrorPaths:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["probit_simulated", "probit"])
+    def test_probit_proposal_exits_two_and_writes_nothing(self, tmp_path, capsys, kind):
+        points_path, _ = _points_file(tmp_path, n=5, d=2)
+        target_path = _write_json(
+            tmp_path / "target.json", {"kind": "standard_normal", "dimension": 2}
+        )
+        dataset = tmp_path / "proposal_data.csv"
+        spec = {"kind": kind, "prior_variance": 1.0}
+        if kind == "probit_simulated":
+            spec.update({"n_data": 20, "dimension": 2, "seed": 4, "dataset_out": str(dataset)})
+        else:
+            spec["dataset"] = str(dataset)
+        code = main([
+            "weights", "--points", points_path, "--target", target_path,
+            "--scheme", "exact_is", "--proposal", _write_json(tmp_path / "q.json", spec),
+        ])
+        assert code == 2
+        assert f"unknown proposal kind {kind!r}" in capsys.readouterr().err
+        assert not dataset.exists()
+
+    def test_interpolated_proposal_of_probit_target_exits_two_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        points_path, _ = _points_file(tmp_path, n=5, d=2)
+        dataset = tmp_path / "target_data.csv"
+        target_path = _write_json(tmp_path / "target.json", {
+            "kind": "probit_simulated", "n_data": 20, "dimension": 2, "seed": 4,
+            "dataset_out": str(dataset),
+        })
+        code = main([
+            "weights", "--points", points_path, "--target", target_path, "--scheme", "exact_is",
+            "--proposal", _write_json(tmp_path / "q.json", {"kind": "interpolated", "lam": 0.3}),
+        ])
+        assert code == 2
+        assert "needs a mixture target" in capsys.readouterr().err
+        assert not dataset.exists()
 
     def test_target_missing_required_key_exits_two(self, tmp_path, capsys):
         points_path, _ = _points_file(tmp_path, n=5, d=2)

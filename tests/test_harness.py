@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from steinweights import harness, simplex_qp, targets
-from steinweights.errors import DominanceError, GramIntegrityError, SolverError
+from steinweights.errors import (
+    DominanceError, GramIntegrityError, SolverError, UnsupportedConfigurationError,
+)
 from steinweights.harness import (
     ExperimentConfig,
     ExperimentRecord,
@@ -360,6 +362,19 @@ class TestConfigValidation:
         data["sampler"] = {"kind": "iid", "proposal": {"kind": "interpolated", "lam": lam}}
         with pytest.raises(ValueError, match="lam"):
             self.run_refusing_draws(monkeypatch, data)
+
+    @pytest.mark.parametrize("proposal", [None, {"kind": "interpolated", "lam": 0.4}])
+    def test_mixture_proposal_of_probit_target_rejected_before_building(
+        self, monkeypatch, tmp_path, proposal
+    ):
+        # The check reads the specs, so the target's dataset is never written.
+        data = copy.deepcopy(PROBIT_MALA)
+        dataset = tmp_path / "data.csv"
+        data["target"]["dataset_out"] = str(dataset)
+        data["sampler"] = {"kind": "iid", "proposal": proposal}
+        with pytest.raises(UnsupportedConfigurationError, match="needs a mixture target"):
+            self.run_refusing_draws(monkeypatch, data)
+        assert not dataset.exists()
 
     @pytest.mark.parametrize(
         "section, spec, message",

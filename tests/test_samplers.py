@@ -15,7 +15,7 @@ from support import (
     lemire_rejection_steps,
     reference_mala_chains,
 )
-from steinweights import samplers
+from steinweights import samplers, targets
 from steinweights.errors import NonFinitePointsError
 from steinweights.samplers import (
     ChainConfig,
@@ -26,6 +26,7 @@ from steinweights.samplers import (
     sgld_chains,
     tune_mala_step,
 )
+from steinweights.stein import ScoreTarget
 from steinweights.targets import probit_simulate, random_gaussian_mixture, standard_normal_target
 
 
@@ -154,6 +155,61 @@ class TestMalaReference:
         cfg = ChainConfig(n_chains=n_chains, n_steps=300, step_size=step_size,
                           init_scale=1.5, seed=21)
         np.testing.assert_array_equal(mala_chains(target, cfg), reference_mala_chains(target, cfg))
+
+
+class TestMalaTargetCalls:
+    """Each MALA step evaluates the target once, on all its proposals."""
+
+    MODEL = probit_simulate(n_data=50, dimension=3, seed=2, prior_variance=0.1)
+
+    def joint_only_target(self, monkeypatch):
+        """The model's target, whose erfcx calls are recorded by size and
+        whose separate log_density and score calls fail the test."""
+        def separate(model, pts):
+            raise AssertionError("a MALA step called log_density or score")
+
+        monkeypatch.setattr(targets.ProbitModel, "log_density", separate)
+        monkeypatch.setattr(targets.ProbitModel, "score", separate)
+        sizes = []
+        erfcx = targets.erfcx
+
+        def recording(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return erfcx(x, *args, **kwargs)
+
+        monkeypatch.setattr(targets, "erfcx", recording)
+        return self.MODEL.as_target(), sizes
+
+    def test_one_step_is_one_erfcx_pass(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((6, 3))
+        log_p, score = self.MODEL.log_density(x), self.MODEL.score(x)
+        target, sizes = self.joint_only_target(monkeypatch)
+        samplers._mala_step(target, x, log_p, score, 0.01, rng.standard_normal((6, 3)),
+                            rng.uniform(size=6))
+        assert sizes == [6 * self.MODEL.n_data]
+
+    def test_chains_and_oracle_evaluate_once_per_step(self, monkeypatch):
+        target, sizes = self.joint_only_target(monkeypatch)
+        mala_chains(target, ChainConfig(n_chains=5, n_steps=3, step_size=0.01,
+                                        init_scale=1.0, seed=4))
+        assert sizes == [5 * self.MODEL.n_data] * 4  # the starts, then 3 steps
+        sizes.clear()
+        mala_chain_moments(target, n_draws=20, burn_in=40, step_size=0.01, seed=4,
+                           store_every=0)
+        assert sizes == [20 * self.MODEL.n_data] * 4  # the starts, 2 burn-in and 1 kept step
+
+    @pytest.mark.parametrize("model", [MODEL, random_gaussian_mixture(4, 3, seed=9, **GMM_RANGES)],
+                             ids=["probit", "mixture"])
+    def test_target_without_joint_call_gives_the_same_chains(self, model):
+        full = model.as_target()
+        separate = ScoreTarget(dimension=3, score=model.score, log_density=model.log_density)
+        cfg = ChainConfig(n_chains=7, n_steps=50, step_size=0.05, init_scale=1.0, seed=8)
+        np.testing.assert_array_equal(mala_chains(full, cfg), mala_chains(separate, cfg))
+        args = dict(n_draws=700, burn_in=70, step_size=0.05, seed=3, store_every=3)
+        got, want = mala_chain_moments(full, **args), mala_chain_moments(separate, **args)
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key], err_msg=key)
 
 
 class HalfPlaneTarget:

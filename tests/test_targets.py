@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import log_ndtr
+from scipy.special import erfcx, log_ndtr
 
 from steinweights import targets
 from steinweights.targets import (
@@ -202,6 +202,31 @@ class TestProbitModel:
         assert np.isfinite(score_neg)
         assert score_neg == pytest.approx(-score, rel=1e-6)
 
+    def test_log_phi_terms_match_log_ndtr(self):
+        # One observation whose signed latent value at point t is t; erfcx
+        # overflows above 37.6, and t = -40 and 40 are included. The prior
+        # variance is so wide that the prior term, below 1e-296, leaves
+        # each log-density equal to its one log-likelihood term.
+        t = np.concatenate((np.linspace(-40.0, 40.0, 160_001),
+                            np.random.default_rng(3).uniform(-40.0, 40.0, 100_000)))
+        for label, sign in ((1, 1.0), (0, -1.0)):
+            model = ProbitModel(features=np.array([[sign]]), labels=np.array([label]),
+                                prior_variance=1e300)
+            term, _ = model.log_density_and_score(t[:, None])
+            np.testing.assert_array_equal(term, model.log_density(t[:, None]))
+            ref = log_ndtr(t)
+            assert np.all(np.isfinite(term)) and np.all(term <= 0.0)
+            np.testing.assert_allclose(term, ref, rtol=0.0, atol=1e-12)
+            low = t <= 0.0
+            np.testing.assert_allclose(term[low], ref[low], rtol=1e-14, atol=0.0)
+        # Past |s| = 1.3e154, s^2 / 2 overflows too; the terms keep log_ndtr's limits.
+        wide = ProbitModel(features=np.array([[1e155]]), labels=np.array([1]),
+                           prior_variance=1e300)
+        x = np.array([-10.0, 10.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = wide.log_density(x[:, None])
+        np.testing.assert_array_equal(got, log_ndtr(1e155 * x) - 0.5 * x * x / 1e300)
+
     def test_labels_validated(self):
         with pytest.raises(ValueError):
             ProbitModel(
@@ -257,10 +282,18 @@ class TestProbitSingleSign:
         t = pts @ model.features.T
         prior_var = model.prior_variance
         score = both_sign_coefficients(model, t) @ model.features - pts / prior_var
-        loglik = np.where(model.labels[None, :] == 1, log_ndtr(t), log_ndtr(-t))
+        # log Phi(s) at the signed latent s, from the erfcx that also gives
+        # the Mills ratio; test_log_phi_terms_match_log_ndtr bounds its error.
+        s = np.where(model.labels[None, :] == 1, t, -t)
+        loglik = np.minimum(np.log(erfcx(-s / np.sqrt(2.0)) / 2) - s * s / 2, 0.0)
         log_density = np.sum(loglik, axis=1) - 0.5 * np.sum(pts * pts, axis=1) / prior_var
         np.testing.assert_array_equal(model.score(pts), score)
         np.testing.assert_array_equal(model.log_density(pts), log_density)
+
+    def test_joint_call_bit_identical_to_separate_calls(self):
+        log_density, score = self.model.log_density_and_score(self.pts)
+        np.testing.assert_array_equal(score, self.model.score(self.pts))
+        np.testing.assert_array_equal(log_density, self.model.log_density(self.pts))
 
     def test_minibatch_evaluates_only_gathered_entries(self, monkeypatch):
         sizes = []
