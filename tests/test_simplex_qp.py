@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import blas
 
 from steinweights import simplex_qp
+from steinweights.errors import SolverError
 from steinweights.kernels import RbfKernel, median_heuristic_bandwidth
 from steinweights.samplers import sample_gmm_iid
 from steinweights.simplex_qp import _ARMIJO_FRACTION, _MAX_BACKTRACKS, QpProblem, solve
@@ -118,12 +119,16 @@ def _matmul_product(mat, x):
     return mat @ x
 
 
-def _reference_mirror_descent(problem, max_iters, tol=1e-10, product=None, growth=None):
-    """The mirror-descent loop as it was before products with K were shared
-    and buffers reused: it scores a candidate with c' (K c), recomputes K w
-    after acceptance, and allocates fresh arrays for every step. Products
-    go through ``product``, the solver's helper unless given; the step size
-    grows by ``growth``, the solver's ``_ETA_GROWTH`` unless given.
+def _reference_mirror_descent(
+    problem, max_iters, tol=1e-10, product=None, growth=None, scored=None
+):
+    """The mirror-descent loop as it was before products with K were shared,
+    candidates screened and buffers reused: it scores every candidate with
+    c' (K c), recomputes K w after acceptance, and allocates fresh arrays
+    for every step. Products go through ``product``, the solver's helper
+    unless given; the step size grows by ``growth``, the solver's
+    ``_ETA_GROWTH`` unless given. If ``scored`` is a list, each scored
+    candidate is appended to it as (candidate, accepted).
     Returns (weights, objective, iterations, converged, gap)."""
     product = product or simplex_qp._gram_product
     growth = growth or simplex_qp._ETA_GROWTH
@@ -148,8 +153,10 @@ def _reference_mirror_descent(problem, max_iters, tol=1e-10, product=None, growt
             candidate /= total
             cand_obj = float(candidate @ product(mat, candidate))
             predicted = float(grad @ (w - candidate))
-            if cand_obj <= obj - _ARMIJO_FRACTION * predicted:
-                accepted = True
+            accepted = cand_obj <= obj - _ARMIJO_FRACTION * predicted
+            if scored is not None:
+                scored.append((candidate, accepted))
+            if accepted:
                 break
             eta *= 0.5
         if not accepted:
@@ -189,12 +196,13 @@ def _reference_cases():
 
 @pytest.fixture
 def product_calls(monkeypatch):
-    """Counts calls to the solver's product helper, references included."""
+    """Records a copy of x for each call K x to the solver's product helper,
+    references included."""
     calls = []
     product = simplex_qp._gram_product
 
     def counting(mat, x):
-        calls.append(x.shape)
+        calls.append(x.copy())
         return product(mat, x)
 
     monkeypatch.setattr(simplex_qp, "_gram_product", counting)
@@ -207,7 +215,7 @@ def _assert_matches_reference(sol, reference):
     assert sol.iterations == iterations
     assert sol.converged == converged
     assert sol.gap == gap
-    assert sol.objective == pytest.approx(objective, rel=1e-12)
+    assert sol.objective == objective
 
 
 class TestSharedGramProduct:
@@ -221,17 +229,68 @@ class TestSharedGramProduct:
             _assert_matches_reference(sol, _reference_mirror_descent(problem, iters))
 
     def test_mirror_descent_one_product_per_scored_candidate(self, product_calls):
-        # With c scored candidates and i accepted steps, the reference
-        # loop forms 2 + c + i products: the start's objective and
-        # gradient, one per candidate and one fresh gradient per accepted
-        # step. Sharing K c leaves 1 + c.
+        # The reference loop scores every candidate and forms K w afresh
+        # after each accepted step. The solver forms K x once for the
+        # uniform start and once per candidate it scores: every accepted
+        # one, and each rejected one that its screen lets through, in the
+        # reference's order. So it forms 1 + accepted + unscreened
+        # rejections products.
         problem = QpProblem(gram=_mixture_gram())
         sol = solve(problem, max_iters=300)
-        shared = len(product_calls)
-        product_calls.clear()
-        _reference_mirror_descent(problem, 300)
+        products = list(product_calls)
+        scored = []
+        _reference_mirror_descent(problem, 300, scored=scored)
         assert sol.iterations == 300
-        assert shared == len(product_calls) - sol.iterations - 1
+        np.testing.assert_array_equal(products[0], np.full(problem.n, 1.0 / problem.n))
+        next_product = 1
+        unscreened = 0
+        for candidate, accepted in scored:
+            if next_product < len(products) and np.array_equal(products[next_product], candidate):
+                next_product += 1
+                unscreened += not accepted
+            else:
+                assert not accepted
+        assert next_product == len(products)
+        assert len(products) == 1 + sol.iterations + unscreened
+        rejected = len(scored) - sol.iterations
+        assert 0 < rejected and unscreened < rejected / 4
+
+
+@pytest.fixture(scope="module")
+def criterion_05_problem():
+    """The criterion-05 target's Gram at n = 800, the larger `iid_stein` size."""
+    return QpProblem(gram=_mixture_gram(n=800, seed=1))
+
+
+class TestCandidateScreen:
+    """The solver skips the product of a candidate that the sufficient-
+    decrease check must reject. It must still take exactly the steps of
+    the reference loop, which scores every candidate."""
+
+    def test_matches_reference_at_n_800(self, criterion_05_problem):
+        sol = solve(criterion_05_problem, max_iters=2000)
+        _assert_matches_reference(sol, _reference_mirror_descent(criterion_05_problem, 2000))
+
+    def test_matches_reference_near_convergence(self):
+        # Steps shrink to rounding here, so the screen's slack decides:
+        # without it, seeds 10, 16 and 17 leave the reference's path.
+        for seed in range(20):
+            rng = np.random.default_rng(20_000 + seed)
+            problem = QpProblem(gram=SteinGram(random_psd(rng, int(rng.integers(3, 30)))))
+            sol = solve(problem, max_iters=5000, tol=1e-14)
+            _assert_matches_reference(sol, _reference_mirror_descent(problem, 5000, tol=1e-14))
+
+    def test_about_one_product_per_iteration(self, criterion_05_problem, product_calls):
+        # Without the screen, 1.32: a grown step fails about once every
+        # three iterations.
+        sol = solve(criterion_05_problem, max_iters=2000)
+        assert sol.iterations == 2000
+        assert len(product_calls) - 1 <= 1.05 * sol.iterations
+
+    def test_gradient_overflow_rejected_before_iterating(self, product_calls):
+        with pytest.raises(SolverError, match="too large"):
+            solve(QpProblem(gram=SteinGram(np.diag([1e308, 5e307]))))
+        assert not product_calls
 
 
 class TestSymmetricProduct:
@@ -305,12 +364,17 @@ class TestSymmetricProduct:
 class TestStepSizeGrowth:
     """Mirror descent grows eta by 1.25, not 2, after an accepted step."""
 
-    def test_grown_step_rarely_rejected(self, product_calls):
+    def test_grown_step_rarely_rejected(self):
         # Doubling made the next candidate fail almost every time, about
-        # 2 products per iteration.
-        sol = solve(QpProblem(gram=_mixture_gram()), max_iters=300)
-        assert sol.iterations == 300
-        assert len(product_calls) <= 1.4 * sol.iterations
+        # 2 candidates per iteration. The candidates are counted through
+        # the reference loop, which takes the solver's steps and scores
+        # every candidate; the solver skips the product of most that fail.
+        scored = []
+        _, _, iterations, _, _ = _reference_mirror_descent(
+            QpProblem(gram=_mixture_gram()), 300, scored=scored
+        )
+        assert iterations == 300
+        assert len(scored) <= 1.4 * iterations
 
     def test_drift_against_doubling(self):
         # The step-size policy moves the early-stopped iterate, not where
