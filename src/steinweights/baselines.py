@@ -10,7 +10,6 @@ functional weights may be negative and need not sum to one) or exactness
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
 from scipy.special import gamma
 
 from .errors import (
@@ -20,7 +19,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .kernels import _exponent_tile, _sq_dist_factors, _upper_tiles
-from .stein import ScoreTarget, SteinGram, _gram_product, _ridge_cholesky
+from .stein import ScoreTarget, SteinGram, _gram_product, _ridge_inverse_ones
 
 __all__ = [
     "weights_uniform",
@@ -104,26 +103,23 @@ def weights_control_functional(
     ``lam`` defaults to ``gram.ridge``, 1e-8 * n * max(diag K_p), the ridge
     of the Gram's PSD check. With A = K_p + lam I positive definite, the
     solve is Sherman-Morrison from a Cholesky factor of A: u = A^-1 1 and
-    w = u / (1 + 1'u). At the Gram's ridge that factor is ``gram.factor``,
-    which construction already computed, so the solve is two triangular
-    solves; any other lam factors A afresh. The weights may be negative
-    and need not sum to one; ``normalize`` divides by the sum. If A has no
-    Cholesky factor, or the residual is too large, least squares takes
-    over: a singular but consistent system at lam = 0 gets the
-    minimum-norm solution; an inconsistent one raises :class:`SolverError`
-    advising a positive lam.
+    w = u / (1 + 1'u). At the Gram's ridge u is ``gram.inverse_ones``,
+    which construction already computed, so the solve needs no
+    factorization; any other lam factors a copy of A afresh. The weights
+    may be negative and need not sum to one; ``normalize`` divides by the
+    sum. If A has no Cholesky factor, or the residual is too large, least
+    squares takes over: a singular but consistent system at lam = 0 gets
+    the minimum-norm solution; an inconsistent one raises
+    :class:`SolverError` advising a positive lam.
     """
     mat = gram.matrix
     n = mat.shape[0]
     lam = gram.ridge if lam is None else float(lam)
     if lam < 0.0 or not np.isfinite(lam):
         raise ValueError("lam must be nonnegative and finite")
-    factor = gram.factor if lam == gram.ridge else _ridge_cholesky(mat, lam)
+    u = gram.inverse_ones if lam == gram.ridge else _ridge_inverse_ones(mat.copy(), lam)
     rhs = np.ones(n)
-    weights = None
-    if factor is not None:
-        u, _ = lapack.dpotrs(factor, rhs, lower=1)
-        weights = u / (1.0 + float(u.sum()))
+    weights = None if u is None else u / (1.0 + float(u.sum()))
 
     def residual(w: np.ndarray) -> float:
         kw = _gram_product(mat, w)

@@ -66,7 +66,7 @@ class QpProblem:
     """Quadratic program min w' K w subject to sum(w) = 1, w_i >= 0.
 
     ``gram`` is a :class:`SteinGram`, whose matrix is already finite,
-    exactly symmetric and contiguous. Construction replaces ``gram`` with
+    exactly symmetric and C-ordered. Construction replaces ``gram`` with
     that matrix, which the solver's symmetric products take without a
     copy. Wrap any other matrix as ``SteinGram(matrix)``.
     """

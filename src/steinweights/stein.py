@@ -120,26 +120,61 @@ class ScoreTarget:
 
 
 def _gram_product(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """K x for an exactly symmetric, contiguous K, reading one triangle of K.
+    """K x for an exactly symmetric, C-ordered K, reading one triangle of K.
 
     ``dsymv`` takes a Fortran-ordered matrix; f2py would copy a C-ordered
     one on every call. The transpose of a C-ordered K is a Fortran-ordered
     view that equals K, so that is what gets passed.
     """
-    return blas.dsymv(1.0, mat.T if mat.flags.c_contiguous else mat, x)
+    return blas.dsymv(1.0, mat.T, x)
 
 
-def _ridge_cholesky(mat: np.ndarray, ridge: float) -> np.ndarray | None:
-    """Lower Cholesky factor of mat + ridge * I, or None if it does not exist.
+def _ridge_inverse_ones(a: np.ndarray, ridge: float) -> np.ndarray | None:
+    """(a + ridge * I)^-1 1, or None if a + ridge * I has no Cholesky factor.
 
-    Factors one (n, n) copy in place. LAPACK reads one triangle only, so
-    ``mat`` must be symmetric. The factor is Fortran-ordered, the layout
-    ``lapack.dpotrs`` takes without a copy.
+    ``a`` is C-ordered and symmetric. LAPACK forms the lower Cholesky
+    factor of its Fortran-ordered transpose in place, so it reads and
+    overwrites only the upper triangle and the diagonal of ``a`` and leaves
+    the strictly lower triangle as it was. One pair of triangular solves
+    then gives the vector.
     """
-    a = np.array(mat, dtype=float, order="C")
     a.ravel()[:: a.shape[0] + 1] += ridge
-    factor, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1)
-    return factor if info == 0 else None
+    factor, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1, clean=0)
+    if info:
+        return None
+    u, _ = lapack.dpotrs(factor, np.ones(a.shape[0]), lower=1)
+    return u
+
+
+def _asymmetry(mat: np.ndarray) -> float:
+    """max |K - K'|, a tile pair at a time, without an (n, n) temporary."""
+    asym = 0.0
+    for rows, cols in _upper_tiles(mat.shape[0]):
+        diff = mat[rows, cols] - mat[cols, rows].T
+        asym = max(asym, float(np.abs(diff, out=diff).max()))
+        del diff
+    return asym
+
+
+def _symmetrize(mat: np.ndarray) -> None:
+    """Overwrite K with 0.5 * (K + K'), a tile pair at a time."""
+    for rows, cols in _upper_tiles(mat.shape[0]):
+        sym = mat[rows, cols] + mat[cols, rows].T
+        sym *= 0.5
+        mat[rows, cols] = sym
+        mat[cols, rows] = sym.T
+        del sym
+
+
+def _mirror_lower(mat: np.ndarray) -> None:
+    """Copy the strictly lower triangle of K over its strictly upper one."""
+    for rows, cols in _upper_tiles(mat.shape[0]):
+        if rows == cols:
+            block = mat[rows, rows]
+            m = len(block)
+            np.copyto(block, block.T, where=_STRICT_LOWER[:m, :m].T)
+        else:
+            mat[rows, cols] = mat[cols, rows].T
 
 
 @dataclass(frozen=True)
@@ -149,53 +184,61 @@ class SteinGram:
     The one Gram type that :func:`ksd_weighted`, the simplex solver and the
     control-functional weights take; wrap your own matrix as
     ``SteinGram(matrix)``. Construction takes a non-empty square matrix
-    (any other shape is a ValueError that names it), validates symmetry
-    to 1e-12 relative to the largest entry and stores the symmetric part, so
-    ``matrix`` is exactly symmetric; it is also C- or F-contiguous (any
-    other layout is copied once, here), so every BLAS ``dsymv`` takes it
-    without a copy. At every n it then checks the smallest eigenvalue
-    against -ridge, with ``ridge`` = 1e-8 * n * max(diag, 0): one Cholesky
-    factorization of K + ridge * I accepts the matrix, and only if it
-    fails does an eigensolve decide. ``factor`` keeps that lower Cholesky
-    factor (None if the factorization failed on an accepted matrix, such
-    as the zero matrix) for solves with K + ridge * I.
+    (any other shape is a ValueError that names it) and copies it once
+    into a C-ordered ``matrix``, so the caller's array is never written
+    and every BLAS ``dsymv`` takes ``matrix`` without a copy. It validates
+    symmetry to 1e-12 relative to the largest entry and stores the
+    symmetric part, so ``matrix`` is exactly symmetric. At every n it then
+    checks the smallest eigenvalue against -ridge, with ``ridge`` =
+    1e-8 * n * max(diag, 0): one Cholesky factorization of K + ridge * I
+    accepts the matrix, and only if it fails does an eigensolve decide.
+    That factorization runs inside ``matrix``'s own upper triangle, which
+    is then restored exactly, so a Gram holds one (n, n) array.
+    ``inverse_ones`` keeps (K + ridge * I)^-1 1, the one solve with the
+    factor that the control-functional weights need (None if the
+    factorization failed on an accepted matrix, such as the zero matrix).
     """
 
     matrix: np.ndarray
-    # Set only by stein_gram, whose output is exactly symmetric by
-    # construction, to skip the O(n^2) symmetry comparison.
+    # Set only by stein_gram, whose output is fresh, C-ordered and exactly
+    # symmetric by construction: it is kept without a copy and skips the
+    # O(n^2) symmetry comparison.
     _mirrored: InitVar[bool] = False
     ridge: float = field(init=False)
-    factor: np.ndarray | None = field(init=False, repr=False, compare=False)
+    inverse_ones: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, _mirrored: bool):
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = self.matrix if _mirrored else np.array(self.matrix, dtype=float, order="C")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
             raise ValueError(f"Gram matrix must be square and non-empty, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
+        # A NaN propagates into both, an infinity into one of them.
+        high, low = float(mat.max()), float(mat.min())
+        if not (np.isfinite(high) and np.isfinite(low)):
             raise GramIntegrityError("Gram matrix contains non-finite entries")
         if not _mirrored:
-            scale = float(np.max(np.abs(mat)))
-            asym = float(np.max(np.abs(mat - mat.T)))
+            scale = max(high, -low)
+            asym = _asymmetry(mat)
             if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
                 raise GramIntegrityError(
                     f"Gram matrix asymmetry {asym:.3e} exceeds tolerance for scale {scale:.3e}"
                 )
             if asym:
-                mat = 0.5 * (mat + mat.T)
-        if not (mat.flags.c_contiguous or mat.flags.f_contiguous):
-            mat = np.ascontiguousarray(mat)
+                _symmetrize(mat)
         object.__setattr__(self, "matrix", mat)
-        ridge = _PSD_RTOL * mat.shape[0] * max(float(np.max(np.diag(mat))), 0.0)
-        factor = _ridge_cholesky(mat, ridge)
-        if factor is None:
+        n = mat.shape[0]
+        diag = mat.diagonal().copy()
+        ridge = _PSD_RTOL * n * max(float(diag.max()), 0.0)
+        inverse_ones = _ridge_inverse_ones(mat, ridge)
+        mat.ravel()[:: n + 1] = diag
+        _mirror_lower(mat)
+        if inverse_ones is None:
             lam_min = float(np.linalg.eigvalsh(mat)[0])
             if lam_min < -ridge:
                 raise GramIntegrityError(
                     f"Gram matrix min eigenvalue {lam_min:.3e} below PSD floor {-ridge:.3e}"
                 )
         object.__setattr__(self, "ridge", ridge)
-        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "inverse_ones", inverse_ones)
 
     @property
     def n(self) -> int:
@@ -287,8 +330,8 @@ def stein_gram(target: ScoreTarget, kernel: RbfKernel, points: np.ndarray) -> St
     :func:`stein_kernel_block` computes, written with its transpose into
     one (n, n) output. So each pair is computed once, the scratch space is
     a few tiles, and the result is exactly symmetric; :class:`SteinGram`
-    skips its symmetry comparison. Apart from the output, the only (n, n)
-    buffer is the copy its PSD check factors. Entry (i, j) is
+    takes it without a copy, skips its symmetry comparison and runs its PSD
+    check inside it, so the output is the only (n, n) buffer. Entry (i, j) is
     :func:`stein_kernel_block` of rows i and j up to rounding, and does not
     move beyond rounding when the points and the target are shifted
     together.
@@ -311,13 +354,16 @@ def stein_gram(target: ScoreTarget, kernel: RbfKernel, points: np.ndarray) -> St
             np.copyto(out[rows, rows], tile.T, where=_STRICT_LOWER[:m, :m])
         else:
             out[cols, rows] = tile.T
+        # Free the tile before the next one is computed, so that at most
+        # two tiles are live at once.
+        del tile
     return SteinGram(matrix=out, _mirrored=True)
 
 
 def ksd_weighted(gram: SteinGram, weights: np.ndarray) -> float:
     """Weighted squared discrepancy w' K_p w.
 
-    The Gram's matrix is exactly symmetric and contiguous, so K_p w is one
+    The Gram's matrix is exactly symmetric and C-ordered, so K_p w is one
     BLAS ``dsymv`` that reads one triangle, without a copy. Small negative
     values from rounding, within 1e-10 * n * max(diag), clamp to zero.
     Anything more negative indicates a broken Gram matrix and raises

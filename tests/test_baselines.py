@@ -135,11 +135,11 @@ class TestControlFunctionalFromFactor:
 
     def test_inconsistent_system_raises_solver_error(self):
         # K + 11' is the zero matrix: no w solves 0 w = 1. K is not PSD, so
-        # the Gram is set up past its validation, with no ridge factor.
+        # the Gram is set up past its validation, with no ridge solve.
         gram = SteinGram.__new__(SteinGram)
         object.__setattr__(gram, "matrix", -np.ones((2, 2)))
         object.__setattr__(gram, "ridge", 0.0)
-        object.__setattr__(gram, "factor", None)
+        object.__setattr__(gram, "inverse_ones", None)
         with pytest.raises(SolverError, match="positive lam"):
             weights_control_functional(gram, lam=0.0)
 
@@ -167,7 +167,7 @@ class TestControlFunctionalFromFactor:
         assert calls == [(120, 120)]
 
     def test_other_lam_factors_afresh_once(self, monkeypatch):
-        # The Gram's own factor serves lam == gram.ridge only; any other lam
+        # The Gram's own solve serves lam == gram.ridge only; any other lam
         # factors K + lam I once more, and the solve still matches.
         from scipy.linalg import lapack
 

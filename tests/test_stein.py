@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 from scipy.spatial.distance import cdist
 
 from steinweights.errors import GramIntegrityError, ScoreEvaluationError
@@ -303,8 +303,8 @@ class TestTiledGram:
                 expect[cols, rows] = tile.T
         np.testing.assert_array_equal(stein_gram(target, kernel, pts).matrix, expect)
 
-    def test_peak_memory_is_gram_and_cholesky_copy(self):
-        # The output and the copy the PSD check factors, plus a few tiles.
+    def test_peak_memory_is_one_gram(self):
+        # The output, which the PSD check factors in place, plus a few tiles.
         n = 800
         target, pts = mixture_points(n, seed=12)
         tracemalloc.start()
@@ -313,7 +313,7 @@ class TestTiledGram:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.3 * 8 * n * n
+        assert peak <= 1.3 * 8 * n * n
 
 
 class TestSteinKernelVector:
@@ -434,23 +434,73 @@ class TestCholeskyPsdCheck:
             SteinGram(rank_one_dip(n, 1.001 * floor))
         gram = SteinGram(rank_one_dip(n, 0.999 * floor))
         assert gram.ridge == floor
-        assert gram.factor is not None
+        assert gram.inverse_ones is not None
 
     @pytest.mark.parametrize("n", [1, 4, 1100])
     def test_zero_matrix_accepted(self, n):
         gram = SteinGram(np.zeros((n, n)))
         assert gram.ridge == 0.0
-        assert gram.factor is None
+        assert gram.inverse_ones is None
 
-    def test_factor_is_cholesky_of_ridged_gram(self):
+    @pytest.mark.parametrize("n", [2, 300])
+    @pytest.mark.parametrize("entry", [0.0, 1e-320])
+    def test_failed_factorization_restores_matrix(self, n, entry):
+        # The zero matrix, whose factorization fails at its first column,
+        # and t 11' with t subnormal: PSD and singular, with a ridge that
+        # underflows to zero, so its factorization fails at the second
+        # column after writing the first. The eigensolve accepts both, and
+        # the matrix the factorization ran in is restored.
+        mat = np.full((n, n), entry)
+        gram = SteinGram(mat)
+        assert gram.ridge == 0.0
+        assert gram.inverse_ones is None
+        np.testing.assert_array_equal(gram.matrix, mat)
+
+    def ridged_gram(self):
         rng = np.random.default_rng(8)
         pts = rng.standard_normal((60, 2))
-        gram = stein_gram(standard_normal_target(2), RbfKernel(1.5), pts)
-        lower = gram.factor
-        np.testing.assert_array_equal(lower, np.tril(lower))
-        np.testing.assert_allclose(
-            lower @ lower.T, gram.matrix + gram.ridge * np.eye(60), rtol=0, atol=1e-12
-        )
+        return stein_gram(standard_normal_target(2), RbfKernel(1.5), pts)
+
+    def test_inverse_ones_matches_separate_factorization(self):
+        gram = self.ridged_gram()
+        copy = gram.matrix + gram.ridge * np.eye(60)
+        lower, info = lapack.dpotrf(copy, lower=1)
+        assert info == 0
+        expect, _ = lapack.dpotrs(lower, np.ones(60), lower=1)
+        np.testing.assert_array_equal(gram.inverse_ones, expect)
+
+    def test_inverse_ones_solves_ridged_system(self):
+        gram = self.ridged_gram()
+        residual = (gram.matrix + gram.ridge * np.eye(60)) @ gram.inverse_ones - 1.0
+        assert np.max(np.abs(residual)) <= 1e-10
+
+    def test_read_only_matrix_copied_and_unchanged(self):
+        gram = self.ridged_gram()
+        mat = gram.matrix.copy()
+        mat.flags.writeable = False
+        copy = SteinGram(mat)
+        assert not np.shares_memory(copy.matrix, mat)
+        np.testing.assert_array_equal(mat, gram.matrix)
+        np.testing.assert_array_equal(copy.matrix, gram.matrix)
+        np.testing.assert_array_equal(copy.inverse_ones, gram.inverse_ones)
+
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    def test_caller_matrix_peak_memory_is_one_copy(self, asymmetric):
+        # The copy of the caller's matrix, plus a few tiles: the symmetry
+        # check, the symmetrization and the PSD check all run in that copy.
+        n = 800
+        target, pts = mixture_points(n, seed=12)
+        mat = stein_gram(target, RbfKernel(2.0), pts).matrix.copy()
+        if asymmetric:
+            mat[0, n - 1] += 1e-14 * np.max(np.abs(mat))
+        tracemalloc.start()
+        try:
+            gram = SteinGram(mat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert asymmetric == (gram.matrix[0, n - 1] != mat[0, n - 1])
+        assert peak <= 1.3 * 8 * n * n
 
     def test_near_symmetric_input_stored_exactly_symmetric(self):
         mat = np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
