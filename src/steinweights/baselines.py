@@ -78,21 +78,6 @@ def weights_exact_is(
     return _self_normalized(ratios)
 
 
-def _system_abs_max(mat: np.ndarray, lam: float) -> float:
-    """max |K + 11' + lam I|, exactly, without forming the (n, n) system.
-
-    Off the diagonal the entries are fl(K_ij + 1), monotone in K_ij, so the
-    largest magnitude sits at the largest or the smallest off-diagonal K_ij.
-    """
-    n = mat.shape[0]
-    peak = float(np.max(np.abs(np.diagonal(mat) + 1.0 + lam)))
-    if n > 1:
-        # The first n columns of this view are the off-diagonal entries.
-        off = mat.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
-        peak = max(peak, abs(float(off.max()) + 1.0), abs(float(off.min()) + 1.0))
-    return peak
-
-
 def weights_control_functional(
     gram: SteinGram,
     lam: float | None = None,
@@ -107,10 +92,12 @@ def weights_control_functional(
     which construction already computed, so the solve needs no
     factorization; any other lam factors a copy of A afresh. The weights
     may be negative and need not sum to one; ``normalize`` divides by the
-    sum. If A has no Cholesky factor, or the residual is too large, least
-    squares takes over: a singular but consistent system at lam = 0 gets
-    the minimum-norm solution; an inconsistent one raises
-    :class:`SolverError` advising a positive lam.
+    sum. If A has no Cholesky factor, or the residual exceeds 1e-8 * n *
+    max(1, ``gram.scale`` + 1 + lam), where ``gram.scale`` + 1 + lam bounds
+    max |K_p + 11' + lam I|, least squares on one (n, n) copy of the system
+    takes over: a singular but consistent system at lam = 0 gets the
+    minimum-norm solution; an inconsistent one raises :class:`SolverError`
+    advising a positive lam.
     """
     mat = gram.matrix
     n = mat.shape[0]
@@ -125,9 +112,11 @@ def weights_control_functional(
         kw = _gram_product(mat, w)
         return float(np.max(np.abs(kw + float(w.sum()) + lam * w - rhs)))
 
-    tol = 1e-8 * n * max(1.0, _system_abs_max(mat, lam))
+    tol = 1e-8 * n * max(1.0, gram.scale + 1.0 + lam)
     if weights is None or not np.all(np.isfinite(weights)) or residual(weights) > tol:
-        weights, *_ = np.linalg.lstsq(mat + 1.0 + lam * np.eye(n), rhs, rcond=None)
+        system = mat + 1.0
+        system.ravel()[:: n + 1] += lam
+        weights, *_ = np.linalg.lstsq(system, rhs, rcond=None)
         miss = residual(weights)
         if not np.all(np.isfinite(weights)) or miss > tol:
             raise SolverError(

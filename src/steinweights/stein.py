@@ -187,8 +187,9 @@ class SteinGram:
     (any other shape is a ValueError that names it) and copies it once
     into a C-ordered ``matrix``, so the caller's array is never written
     and every BLAS ``dsymv`` takes ``matrix`` without a copy. It validates
-    symmetry to 1e-12 relative to the largest entry and stores the
-    symmetric part, so ``matrix`` is exactly symmetric. At every n it then
+    symmetry to 1e-12 relative to ``scale`` = max |K| of the matrix given
+    and stores the symmetric part, so ``matrix`` is exactly symmetric,
+    with no entry larger than ``scale`` in magnitude. At every n it then
     checks the smallest eigenvalue against -ridge, with ``ridge`` =
     1e-8 * n * max(diag, 0): one Cholesky factorization of K + ridge * I
     accepts the matrix, and only if it fails does an eigensolve decide.
@@ -204,6 +205,7 @@ class SteinGram:
     # symmetric by construction: it is kept without a copy and skips the
     # O(n^2) symmetry comparison.
     _mirrored: InitVar[bool] = False
+    scale: float = field(init=False)
     ridge: float = field(init=False)
     inverse_ones: np.ndarray | None = field(init=False, repr=False, compare=False)
 
@@ -215,8 +217,8 @@ class SteinGram:
         high, low = float(mat.max()), float(mat.min())
         if not (np.isfinite(high) and np.isfinite(low)):
             raise GramIntegrityError("Gram matrix contains non-finite entries")
+        scale = max(high, -low)
         if not _mirrored:
-            scale = max(high, -low)
             asym = _asymmetry(mat)
             if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
                 raise GramIntegrityError(
@@ -237,6 +239,7 @@ class SteinGram:
                 raise GramIntegrityError(
                     f"Gram matrix min eigenvalue {lam_min:.3e} below PSD floor {-ridge:.3e}"
                 )
+        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "ridge", ridge)
         object.__setattr__(self, "inverse_ones", inverse_ones)
 

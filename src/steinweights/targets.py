@@ -222,9 +222,16 @@ def random_gaussian_mixture(
     return GaussianMixture(weights=weights, means=means, variances=variances)
 
 
-def _mills_ratio(t: np.ndarray) -> np.ndarray:
-    """phi(t) / Phi(t), computed stably via the scaled complementary error function."""
-    return _SQRT_2_OVER_PI / erfcx(-t / np.sqrt(2.0))
+def _signed_erfcx(t: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, s) at latent values t: s = signs * t, written over t, and a new
+    e = erfcx(s / -sqrt(2)). Observation i's log-likelihood term is
+    log Phi(s_i) = log(e_i / 2) - s_i^2 / 2 and its Mills ratio is
+    phi(s_i) / Phi(s_i) = sqrt(2 / pi) / e_i.
+    """
+    t *= signs
+    e = np.divide(t, -np.sqrt(2.0))
+    erfcx(e, out=e)
+    return e, t
 
 
 @dataclass(frozen=True)
@@ -234,7 +241,11 @@ class ProbitModel:
     Binary labels follow P(label = 1 | x) = Phi(x' features_row) with an
     isotropic normal prior N(0, prior_variance I) on the coefficient
     vector x. The posterior density is known only up to its normalizing
-    constant.
+    constant. Observation i enters through its signed latent value
+    s_i = sign_i x' features_i, with ``signs`` +1 / -1 per label, so each
+    term is evaluated once, at one sign. Every evaluation (log-density,
+    score, both at once, minibatch score) takes its per-observation terms
+    from one erfcx pass over s, :func:`_signed_erfcx`.
 
     Attributes:
         features: (N, d) design matrix.
@@ -264,8 +275,6 @@ class ProbitModel:
             raise ValueError("prior_variance must be positive")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels.astype(np.int64))
-        # +1 / -1 per label: the log-likelihood term of observation i is
-        # log Phi(sign_i t_i), so each term is evaluated once, at one sign.
         object.__setattr__(self, "signs", 2.0 * self.labels - 1.0)
 
     @property
@@ -276,27 +285,10 @@ class ProbitModel:
     def n_data(self) -> int:
         return self.features.shape[0]
 
-    def _signed_erfcx(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """e = erfcx(-s / sqrt(2)) and s^2 / 2 at the signed latent values
-        s = signs * (pts @ features.T), each (C, N).
-
-        Observation i's log-likelihood term is log Phi(s_i) = log(e_i / 2)
-        - s_i^2 / 2 and its Mills ratio is phi(s_i) / Phi(s_i) = sqrt(2 / pi)
-        / e_i, so one GEMM and one erfcx give both. Both arrays are
-        computed in place in the GEMM's output and one more buffer.
-        """
-        half_sq = pts @ self.features.T
-        half_sq *= self.signs
-        e = np.divide(half_sq, -np.sqrt(2.0))
-        erfcx(e, out=e)
-        np.multiply(half_sq, half_sq, out=half_sq)
-        half_sq *= 0.5
-        return e, half_sq
-
     @staticmethod
-    def _log_phi_sums(e: np.ndarray, half_sq: np.ndarray) -> np.ndarray:
+    def _log_phi_sums(e: np.ndarray, s: np.ndarray) -> np.ndarray:
         """(C,) sums over observations of min(log(e / 2) - s^2 / 2, 0),
-        computed in place in ``e``.
+        computed in place in ``e`` and ``s``.
 
         Where s > 37.6, e overflows to inf and the min gives the limit 0.
         It is ``fmin`` so that the limit holds also where s^2 / 2 overflows
@@ -305,7 +297,9 @@ class ProbitModel:
         """
         e *= 0.5
         np.log(e, out=e)
-        e -= half_sq
+        np.multiply(s, s, out=s)
+        s *= 0.5
+        e -= s
         np.fmin(e, 0.0, out=e)
         return np.sum(e, axis=1)
 
@@ -315,32 +309,28 @@ class ProbitModel:
     def log_density(self, points: np.ndarray) -> np.ndarray:
         """Unnormalized log-posterior: probit log-likelihood plus normal prior."""
         pts = np.asarray(points, dtype=float)
-        return self._log_phi_sums(*self._signed_erfcx(pts)) + self._log_prior(pts)
-
-    @staticmethod
-    def _label_coefficients(t: np.ndarray, signs: np.ndarray) -> np.ndarray:
-        """d/dt of the per-observation log-likelihood at latent values t."""
-        return signs * _mills_ratio(signs * t)
+        loglik = self._log_phi_sums(*_signed_erfcx(pts @ self.features.T, self.signs))
+        return loglik + self._log_prior(pts)
 
     def _score_from(self, e: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """The score at ``pts`` from their (C, N) ``e`` of ``_signed_erfcx``:
+        """The score at ``pts`` from their (C, N) ``e`` of :func:`_signed_erfcx`:
         each observation's Mills ratio sqrt(2 / pi) / e, signed, through the
-        features, plus the prior's pull."""
+        features, plus the prior's score."""
         coef = np.divide(_SQRT_2_OVER_PI, e)
         coef *= self.signs
-        return coef @ self.features - pts / self.prior_variance
+        return coef @ self.features + self.prior_score(pts)
 
     def score(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        return self._score_from(self._signed_erfcx(pts)[0], pts)
+        return self._score_from(_signed_erfcx(pts @ self.features.T, self.signs)[0], pts)
 
     def log_density_and_score(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``log_density`` and ``score`` from one GEMM and one erfcx, equal
         to each bit for bit."""
         pts = np.asarray(points, dtype=float)
-        e, half_sq = self._signed_erfcx(pts)
+        e, s = _signed_erfcx(pts @ self.features.T, self.signs)
         score = self._score_from(e, pts)
-        return self._log_phi_sums(e, half_sq) + self._log_prior(pts), score
+        return self._log_phi_sums(e, s) + self._log_prior(pts), score
 
     def prior_score(self, points: np.ndarray) -> np.ndarray:
         return -np.asarray(points, dtype=float) / self.prior_variance
@@ -355,8 +345,10 @@ class ProbitModel:
         pts = np.asarray(points, dtype=float)
         idx = np.asarray(batch_indices)
         feats = self.features[idx]
-        t = np.einsum("cd,cmd->cm", pts, feats)
-        coef = self._label_coefficients(t, self.signs[idx])
+        signs = self.signs[idx]
+        e, _ = _signed_erfcx(np.einsum("cd,cmd->cm", pts, feats), signs)
+        coef = np.divide(_SQRT_2_OVER_PI, e)
+        coef *= signs
         return np.einsum("cm,cmd->cd", coef, feats)
 
     def as_target(self) -> ScoreTarget:

@@ -138,10 +138,27 @@ class TestControlFunctionalFromFactor:
         # the Gram is set up past its validation, with no ridge solve.
         gram = SteinGram.__new__(SteinGram)
         object.__setattr__(gram, "matrix", -np.ones((2, 2)))
+        object.__setattr__(gram, "scale", 1.0)
         object.__setattr__(gram, "ridge", 0.0)
         object.__setattr__(gram, "inverse_ones", None)
         with pytest.raises(SolverError, match="positive lam"):
             weights_control_functional(gram, lam=0.0)
+
+    def test_least_squares_fallback_holds_one_system_copy(self):
+        # The zero Gram has no Cholesky factor, so least squares runs on
+        # K + 11' + lam I, built as one (n, n) buffer beyond the Gram.
+        n = 800
+        gram = SteinGram(np.zeros((n, n)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            w = weights_control_functional(gram)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * n * n
+        dense = gram.matrix + 1.0 + gram.ridge * np.eye(n)
+        np.testing.assert_array_equal(w, np.linalg.lstsq(dense, np.ones(n), rcond=None)[0])
 
     def test_no_refactorization_eigensolve_or_lu(self, monkeypatch):
         from scipy import linalg
@@ -184,6 +201,42 @@ class TestControlFunctionalFromFactor:
         assert calls == [(60, 60)]
         expect = np.linalg.solve(gram.matrix + 1.0 + 1e-3 * np.eye(60), np.ones(60))
         assert np.max(np.abs(w - expect)) <= 1e-8 * np.max(np.abs(expect))
+
+
+def system_abs_max(gram, lam):
+    """max |K + 11' + lam I| over the dense system. The control-functional
+    residual tolerance, 1e-8 * n * max(1, scale + 1 + lam), takes its
+    scale + 1 + lam in its place."""
+    return float(np.max(np.abs(gram.matrix + 1.0 + lam * np.eye(gram.n))))
+
+
+class TestResidualTolerance:
+    @pytest.mark.parametrize("n", [2, 50])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_bounds_system_when_largest_entry_off_diagonal(self, n, sign):
+        # uu' with u = (1, sign, 1, ..., 1), then entry (0, 1) and its
+        # mirror moved out by d: symmetric, PSD within the floor 1e-8 * n,
+        # and its largest entry off the diagonal, the largest (sign 1) or
+        # the smallest (sign -1) entry of K.
+        u = np.ones(n)
+        u[1] = sign
+        for d in (2e-9, 1e-8):
+            mat = np.outer(u, u)
+            mat[0, 1] = mat[1, 0] = sign * (1.0 + d)
+            gram = SteinGram(mat)
+            assert gram.scale == 1.0 + d
+            for lam in (0.0, 1e-9, 1e-3):
+                exact = system_abs_max(gram, lam)
+                assert gram.scale + 1.0 + lam >= exact
+                weights_control_functional(gram, lam=lam)
+
+    def test_equals_system_max_on_stein_gram(self):
+        target = random_gaussian_mixture(6, 2, seed=3, **GMM_RANGES).as_target()
+        for n, seed in ((30, 1), (200, 2)):
+            pts = np.random.default_rng(seed).standard_normal((n, 2)) * 1.5
+            gram = stein_gram(target, RbfKernel(1.0), pts)
+            for lam in (0.0, gram.ridge, 1e-3):
+                assert gram.scale + 1.0 + lam == system_abs_max(gram, lam)
 
 
 class TestKdeBandwidth:

@@ -1,5 +1,6 @@
 """Score-weighted kernel, Gram assembly, weighted discrepancy, identity check."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -527,3 +528,28 @@ class TestCholeskyPsdCheck:
         for n in (5, 80):
             stein_gram(standard_normal_target(2), RbfKernel(1.0), rng.standard_normal((n, 2)))
         assert calls == [(5, 5), (80, 80)]
+
+
+class TestGramScale:
+    @pytest.mark.parametrize("n", [7, 300])
+    def test_scale_is_max_abs_entry_bit_for_bit(self, n):
+        target, pts = mixture_points(n, seed=14)
+        gram = stein_gram(target, RbfKernel(2.0), pts)
+        assert gram.scale == np.max(np.abs(gram.matrix))
+        symmetric = gram.matrix.copy()
+        assert SteinGram(symmetric).scale == np.max(np.abs(symmetric))
+        asymmetric = gram.matrix.copy()
+        asymmetric[0, n - 1] += 1e-14 * gram.scale
+        near = SteinGram(asymmetric)
+        assert near.matrix[0, n - 1] != asymmetric[0, n - 1]
+        assert near.scale == np.max(np.abs(asymmetric))
+
+    def test_scale_is_of_matrix_given_and_read_only(self):
+        # The asymmetric entry is the largest; its symmetrized value is
+        # smaller, and scale keeps the largest magnitude of the input.
+        mat = np.array([[1.0, 1.0 + 1e-8], [1.0 + 1e-8 + 1e-13, 1.0]])
+        gram = SteinGram(mat)
+        assert gram.scale == mat[1, 0]
+        assert np.max(np.abs(gram.matrix)) < gram.scale
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gram.scale = 0.0
