@@ -713,7 +713,14 @@ def _parallel_degree() -> int:
         degree = -1
     if degree < 0:
         raise ValueError(f"{PARALLEL_ENV_VAR} must be a nonnegative integer; got {raw!r}")
-    return degree or os.cpu_count() or 1
+    return degree or _usable_cpus()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, which can be fewer than the host has."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -737,7 +744,8 @@ def run_experiment(config) -> ExperimentResult:
     """Execute a full experiment; returns records, summary, and ground truth.
 
     Parallelism over trials is controlled by the STEINWEIGHTS_PARALLEL
-    environment variable (unset or 1 = serial, 0 = one worker per CPU).
+    environment variable (unset or 1 = serial, 0 = one worker per CPU this
+    process may run on).
     Output is identical regardless of the degree.
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)

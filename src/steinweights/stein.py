@@ -177,7 +177,7 @@ def _mirror_lower(mat: np.ndarray) -> None:
             mat[rows, cols] = mat[cols, rows].T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteinGram:
     """Symmetric PSD Gram matrix of the score-weighted kernel on a point set.
 
@@ -198,6 +198,8 @@ class SteinGram:
     ``inverse_ones`` keeps (K + ridge * I)^-1 1, the one solve with the
     factor that the control-functional weights need (None if the
     factorization failed on an accepted matrix, such as the zero matrix).
+    Two Grams are equal only if they are the same object, which is also
+    what a Gram hashes by.
     """
 
     matrix: np.ndarray
@@ -207,7 +209,7 @@ class SteinGram:
     _mirrored: InitVar[bool] = False
     scale: float = field(init=False)
     ridge: float = field(init=False)
-    inverse_ones: np.ndarray | None = field(init=False, repr=False, compare=False)
+    inverse_ones: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self, _mirrored: bool):
         mat = self.matrix if _mirrored else np.array(self.matrix, dtype=float, order="C")

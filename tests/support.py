@@ -18,9 +18,6 @@ it. ``frozen_many_chain_moments`` is the moment oracle's batch of chains,
 updated one row at a time with the same formulas. ``frozen_sgld_chains``
 draws every chain's whole run up front, chain by chain, and then steps all
 chains as one batch. The package's samplers must match them bit for bit.
-``lemire_rejection_steps`` replays one SGLD chain's minibatch draws from its
-raw PCG64 words, one 32-bit half at a time, to find the steps on which
-``Generator.choice`` rejected a draw.
 """
 
 import itertools
@@ -316,55 +313,59 @@ def reference_mala_chains(target, config):
     return np.array(finals)
 
 
-def _frozen_pregenerate(
-    config, dimension: int, step_draw, draw_shape=(), draw_dtype=float
-):
-    """Draw per-chain randomness up front so the dynamics can run chain-batched.
+def frozen_sgld_minibatches(seed, n_chains, n_steps, n_data, m):
+    """Every chain's minibatch indices, (n_chains, n_steps, m), drawn up front.
 
-    Chain c draws its init, then per step d noise normals followed by
-    ``step_draw(rng)``, one value of shape ``draw_shape`` (the acceptance
-    uniform for MALA, the minibatch indices for SGLD).
+    Chain c's indices come from SeedSequence(entropy=seed, spawn_key=(c, 0)).
+    A pass over the data is one ``permutation(n_data)`` cut into its first
+    n_data // m blocks of m entries, in order; the n_data mod m entries left
+    over are never used. Step t takes block t mod (n_data // m) of pass
+    t // (n_data // m).
     """
-    c, t, d = config.n_chains, config.n_steps, dimension
-    inits = np.empty((c, d))
-    noise = np.empty((c, t, d))
-    draws = np.empty((c, t) + tuple(draw_shape), dtype=draw_dtype)
-    for i in range(c):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(i,))
-        )
-        inits[i] = config.init_scale * rng.standard_normal(d)
-        for step in range(t):
-            noise[i, step] = rng.standard_normal(d)
-            draws[i, step] = step_draw(rng)
-    return inits, noise, draws
+    per_pass = n_data // m
+    passes = -(-n_steps // per_pass)
+    batches = np.empty((n_chains, passes * per_pass, m), dtype=np.int64)
+    for c in range(n_chains):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c, 0)))
+        for p in range(passes):
+            perm = rng.permutation(n_data)
+            batches[c, p * per_pass:(p + 1) * per_pass] = perm[:per_pass * m].reshape(per_pass, m)
+    return batches[:, :n_steps]
 
 
 def frozen_sgld_chains(model, config):
     """SGLD chains with every chain's whole run drawn before the first step.
 
-    Each chain draws its init, then per step d noise normals followed by a
-    ``rng.choice(n_data, m, replace=False)`` minibatch, all into (n, T, d)
-    and (n, T, m) arrays; the steps then run all chains as one batch. At
-    ``minibatch_size == n_data`` it still draws every batch, which the
-    package's sampler does not.
+    Chain c draws its init and then d noise normals per step, one step at a
+    time, from SeedSequence(entropy=config.seed, spawn_key=(c,)), into
+    (n, T, d) arrays. Below the full batch its minibatches are
+    ``frozen_sgld_minibatches``, and the drift is prior_score + (N / m) times
+    the minibatch score; at ``minibatch_size == n_data`` it draws no indices
+    and the drift is the full score. The steps then run all chains as one
+    batch.
     """
     m = config.minibatch_size
     n_data = model.n_data
-    x, noise, batches = _frozen_pregenerate(
-        config,
-        model.dimension,
-        lambda rng: rng.choice(n_data, size=m, replace=False),
-        draw_shape=(m,),
-        draw_dtype=np.int64,
-    )
+    c, t, d = config.n_chains, config.n_steps, model.dimension
+    x = np.empty((c, d))
+    noise = np.empty((c, t, d))
+    for i in range(c):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(i,)))
+        x[i] = config.init_scale * rng.standard_normal(d)
+        for step in range(t):
+            noise[i, step] = rng.standard_normal(d)
+    if m < n_data:
+        batches = frozen_sgld_minibatches(config.seed, c, t, n_data, m)
     eps = config.step_size
     scale = n_data / m
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for step in range(config.n_steps):
-            drift = model.prior_score(x) + scale * model.data_score_minibatch(
-                x, batches[:, step]
-            )
+        for step in range(t):
+            if m < n_data:
+                drift = model.prior_score(x) + scale * model.data_score_minibatch(
+                    x, batches[:, step]
+                )
+            else:
+                drift = model.score(x)
             x = x + 0.5 * eps * drift + np.sqrt(eps) * noise[:, step]
             finite = np.all(np.isfinite(x), axis=1)
             if not finite.all():
@@ -374,58 +375,3 @@ def frozen_sgld_chains(model, config):
                     f"of {config.n_steps}"
                 )
     return x
-
-
-def lemire_rejection_steps(config, n_data, dimension, chain):
-    """Steps (1-based) whose minibatch draw rejects a 32-bit half, in one chain.
-
-    Chain ``chain`` draws its init, then per step d noise normals and
-    ``choice(n_data, m, replace=False)``. This replays that choice as Floyd's
-    selection followed by Fisher-Yates swaps, each draw in [0, b) the high
-    32 bits of x * b for the next 32-bit half x of the generator's raw words
-    (low half first, high half kept for the draw after), drawing again while
-    the low 32 bits are below 2**32 mod b. The replay checks every step's
-    indices against ``choice`` on a twin generator.
-    """
-    m = config.minibatch_size
-    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(chain,))
-    rng, twin = np.random.default_rng(seq), np.random.default_rng(seq)
-    rng.standard_normal(dimension)
-    twin.standard_normal(dimension)
-    kept = []
-
-    def next_half():
-        if kept:
-            return kept.pop()
-        word = int(rng.bit_generator.random_raw())
-        kept.append(word >> 32)
-        return word & 0xFFFFFFFF
-
-    rejected = []
-    for step in range(1, config.n_steps + 1):
-        rng.standard_normal(dimension)
-        twin.standard_normal(dimension)
-        rejections = 0
-
-        def below(bound):
-            nonlocal rejections
-            if bound == 1:
-                return 0
-            product = next_half() * bound
-            while product & 0xFFFFFFFF < (2**32 - bound) % bound:
-                rejections += 1
-                product = next_half() * bound
-            return product >> 32
-
-        picks = []
-        for j in range(n_data - m, n_data):
-            value = below(j + 1)
-            picks.append(j if value in picks else value)
-        for i in range(m - 1, 0, -1):
-            k = below(i + 1)
-            picks[i], picks[k] = picks[k], picks[i]
-        if picks != twin.choice(n_data, size=m, replace=False).tolist():
-            raise AssertionError(f"replay differs from choice at step {step}")
-        if rejections:
-            rejected.append(step)
-    return rejected

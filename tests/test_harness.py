@@ -413,6 +413,19 @@ class TestConfigValidation:
             run_experiment(PROBIT_MALA)
         assert calls == []
 
+    def test_parallel_zero_counts_usable_cpus(self, monkeypatch):
+        # Three CPUs of the host's 64 are this process's to run on.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 4, 6}, raising=False)
+        monkeypatch.setenv("STEINWEIGHTS_PARALLEL", "0")
+        assert harness._parallel_degree() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert harness._parallel_degree() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert harness._parallel_degree() == 1
+        monkeypatch.setenv("STEINWEIGHTS_PARALLEL", "5")
+        assert harness._parallel_degree() == 5
+
     def test_missing_required_key_named_in_error(self):
         data = small_config().to_dict()
         del data["seed"]

@@ -12,7 +12,7 @@ from support import (
     GMM_RANGES,
     frozen_many_chain_moments,
     frozen_sgld_chains,
-    lemire_rejection_steps,
+    frozen_sgld_minibatches,
     reference_mala_chains,
 )
 from steinweights import samplers, targets
@@ -394,111 +394,95 @@ class TestSgldReference:
             sgld_chains(self.MODEL, cfg), frozen_sgld_chains(self.MODEL, cfg))
 
     # Over 512 chains a draw batch is one step; 100 chains draw batches of
-    # 5 steps, the last one part-filled; m = 1 and m = n_data - 1.
+    # 5 steps, the last one part-filled; m = 1 and m = n_data - 1, which
+    # reshuffles every step; m = 7 leaves 2 entries of each pass unread;
+    # the full batch draws no indices.
     @pytest.mark.parametrize("n_chains, n_steps, m",
-                             [(520, 3, 10), (100, 23, 10), (17, 25, 1), (17, 25, 29)])
+                             [(520, 3, 10), (100, 23, 10), (17, 25, 1), (17, 25, 29),
+                              (17, 25, 7), (17, 25, 30)])
     def test_batch_edges_match_frozen(self, n_chains, n_steps, m):
         cfg = ChainConfig(n_chains=n_chains, n_steps=n_steps, step_size=0.02,
                           init_scale=1.5, minibatch_size=m, seed=23)
         np.testing.assert_array_equal(
             sgld_chains(self.MODEL, cfg), frozen_sgld_chains(self.MODEL, cfg))
 
-    def test_lemire_rejection_matches_frozen(self):
-        # At seed 5 chain 60's last minibatch draw rejects a 32-bit half.
-        # Its 128 chains draw 4-step batches, and that step falls in the
-        # part-filled last one, after every chain's state was saved at step
-        # 64, so the chain redraws steps 65 to 70 with choice.
-        model = probit_simulate(n_data=2048, dimension=2, seed=3, prior_variance=0.1)
-        cfg = ChainConfig(n_chains=128, n_steps=70, step_size=1e-3, init_scale=1.0,
-                          minibatch_size=64, seed=5)
-        assert lemire_rejection_steps(cfg, model.n_data, model.dimension, chain=60) == [70]
-        np.testing.assert_array_equal(sgld_chains(model, cfg), frozen_sgld_chains(model, cfg))
+
+def _drawn(seed, n_chains, n_steps, n_data, m, dimension=2):
+    """Copies of every step's noise and minibatches from ``_sgld_draws``,
+    (n_steps, n_chains, d) and (n_steps, n_chains, m)."""
+    rngs = [samplers._chain_generator(seed, c) for c in range(n_chains)]
+    steps = [(noise.copy(), batch.copy())
+             for noise, batch in _sgld_draws(rngs, seed, dimension, n_data, m, n_steps)]
+    assert len(steps) == n_steps
+    return np.array([noise for noise, _ in steps]), np.array([batch for _, batch in steps])
 
 
-def _assert_draws_match_choice(n_data, m, seed, n_chains=3, n_steps=4, dimension=2):
-    """``_sgld_draws`` against d normals then ``choice`` per step on twin
-    generators: the same draws, and the same generator states after them.
+class TestReshuffledMinibatches:
+    """Each chain's minibatches are consecutive blocks of its own reshuffles."""
 
-    Odd seeds start every generator with a kept 32-bit half.
-    """
-    rngs, twins = [], []
-    for c in range(n_chains):
-        pair = [np.random.default_rng([seed, c]) for _ in range(2)]
-        if seed % 2:
-            for rng in pair:
-                rng.integers(0, 7)
-            assert pair[0].bit_generator.state["has_uint32"] == 1
-        rngs.append(pair[0])
-        twins.append(pair[1])
-    drawn = [(noise.copy(), batch.copy())
-             for noise, batch in _sgld_draws(rngs, dimension, n_data, m, n_steps)]
-    assert len(drawn) == n_steps
-    for noise, batch in drawn:
-        for c, twin in enumerate(twins):
-            np.testing.assert_array_equal(noise[c], twin.standard_normal(dimension))
-            np.testing.assert_array_equal(batch[c], twin.choice(n_data, size=m, replace=False))
-    for rng, twin in zip(rngs, twins):
-        assert rng.bit_generator.state == twin.bit_generator.state
+    def test_minibatches_hold_distinct_indices(self):
+        for n_data, m in ((30, 7), (30, 29), (500, 50)):
+            _, batches = _drawn(5, n_chains=4, n_steps=40, n_data=n_data, m=m)
+            assert batches.min() >= 0 and batches.max() < n_data
+            ordered = np.sort(batches, axis=2)
+            assert np.all(ordered[..., 1:] > ordered[..., :-1]), (n_data, m)
 
+    @pytest.mark.parametrize("n_data, m", [(30, 10), (30, 7), (30, 1), (31, 2)])
+    def test_pass_uses_each_point_at_most_once(self, n_data, m):
+        # A pass is n_data // m steps; when m divides n_data it uses every
+        # point exactly once.
+        per_pass = n_data // m
+        _, batches = _drawn(9, n_chains=3, n_steps=4 * per_pass + 1, n_data=n_data, m=m)
+        for p in range(4):
+            for c in range(3):
+                used = batches[p * per_pass:(p + 1) * per_pass, c].ravel()
+                assert len(np.unique(used)) == per_pass * m
+        # Each chain's passes are reshuffled: no two passes of one chain
+        # run in the same order.
+        first, second = batches[:per_pass], batches[per_pass:2 * per_pass]
+        assert not np.array_equal(first, second)
 
-def _emulate_every_floyd_size(monkeypatch):
-    """Lift the size limits of ``_FloydChoice``, which the sampler keeps to
-    the sizes where it is faster than ``choice``."""
-    monkeypatch.setattr(samplers, "_FLOYD_MAX_N", 2**32)
-    monkeypatch.setattr(samplers, "_FLOYD_MAX_M", 2**32)
+    def test_draws_match_frozen_minibatches(self):
+        noise, batches = _drawn(13, n_chains=5, n_steps=23, n_data=30, m=7)
+        np.testing.assert_array_equal(
+            batches.transpose(1, 0, 2), frozen_sgld_minibatches(13, 5, 23, 30, 7))
+        for c in range(5):
+            rng = samplers._chain_generator(13, c)
+            np.testing.assert_array_equal(noise[:, c], rng.standard_normal((23, 2)))
 
+    def test_chain_does_not_depend_on_chain_count(self):
+        # Three chains draw 170-step noise blocks and 17 chains 30-step
+        # ones; chain c's noise, indices and points are the same.
+        small = _drawn(23, n_chains=3, n_steps=200, n_data=30, m=7)
+        big = _drawn(23, n_chains=17, n_steps=200, n_data=30, m=7)
+        for a, b in zip(small, big):
+            np.testing.assert_array_equal(a, b[:, :3])
+        model = probit_simulate(n_data=30, dimension=4, seed=14, prior_variance=0.1)
 
-class TestChoiceEmulation:
-    """SGLD minibatch indices equal ``Generator.choice``'s bit for bit.
+        def points(n_chains):
+            cfg = ChainConfig(n_chains=n_chains, n_steps=40, step_size=0.02,
+                              init_scale=1.5, minibatch_size=7, seed=23)
+            return sgld_chains(model, cfg)
 
-    Where numpy's choice is Floyd's selection, small enough minibatches are
-    built from raw words; a numpy whose choice draws differently fails here.
-    """
+        np.testing.assert_array_equal(points(3), points(17)[:3])
 
-    @pytest.mark.parametrize("n_data, m", [(500, 50), (500, 1), (500, 499), (500, 500),
-                                           (10000, 5000), (20000, 400), (10001, 200)])
-    def test_floyd_sizes_match_choice(self, n_data, m, monkeypatch):
-        _emulate_every_floyd_size(monkeypatch)
-        for seed in range(50):
-            _assert_draws_match_choice(n_data, m, seed)
+    def test_full_batch_never_touches_index_generator(self, monkeypatch):
+        # Every index generator, spawn key (c, 0), fails the test on any use.
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"an index generator was used: {name}")
 
-    def test_no_rejection_no_redraw(self, monkeypatch):
-        # These seeds reject no draw, so no chain redraws with choice: the
-        # sampler builds 50 of 500 from raw words. Words read out of order
-        # would look like rejections and hide in redraws.
-        def no_redraw(*args):
-            raise AssertionError("a chain redrew its batch with choice")
+        make = samplers._chain_generator
 
-        monkeypatch.setattr(samplers, "_draw_steps", no_redraw)
-        for seed in range(50):
-            _assert_draws_match_choice(500, 50, seed)
+        def generator(seed, *spawn_key):
+            return Untouchable() if len(spawn_key) > 1 else make(seed, *spawn_key)
 
-    @pytest.mark.parametrize("n_data, m", [(10001, 201), (20000, 401)])
-    def test_tail_shuffle_sizes_draw_with_choice(self, n_data, m, monkeypatch):
-        # numpy's choice is Floyd's selection at every n_data <= 10000, so
-        # the emulation's limit stays there; here numpy shuffles the tail of
-        # arange(n_data) instead, and the sampler must draw with choice.
-        assert samplers._FLOYD_MAX_N <= 10_000
-        for seed in range(2):
-            _assert_draws_match_choice(n_data, m, seed)
-        _emulate_every_floyd_size(monkeypatch)
-        with pytest.raises(AssertionError):
-            _assert_draws_match_choice(n_data, m, 0)
-
-    def test_rejected_batches_redraw_with_choice(self, monkeypatch):
-        # Flag about half of all chain-steps as rejected, so chains redraw
-        # from their saved states all the time: with one chain and 512-step
-        # batches, with 5-step batches across a save at step 64, and with
-        # one-step batches.
-        init = samplers._FloydChoice.__init__
-
-        def flag_often(self, *args):
-            init(self, *args)
-            self.thresholds[:] = 1 << 25
-
-        monkeypatch.setattr(samplers._FloydChoice, "__init__", flag_often)
-        for n_chains, n_steps in ((1, 600), (100, 80), (600, 3)):
-            _assert_draws_match_choice(500, 50, 7, n_chains, n_steps)
+        monkeypatch.setattr(samplers, "_chain_generator", generator)
+        model = probit_simulate(n_data=15, dimension=2, seed=6, prior_variance=0.1)
+        cfg = dict(n_chains=3, n_steps=8, step_size=0.01, init_scale=1.0, seed=19)
+        sgld_chains(model, ChainConfig(minibatch_size=15, **cfg))
+        with pytest.raises(AssertionError, match="index generator"):
+            sgld_chains(model, ChainConfig(minibatch_size=14, **cfg))
 
 
 def _peak_bytes(run) -> int:
@@ -531,6 +515,24 @@ class TestChainMemory:
         short = _peak_bytes(lambda: run(20))
         long = _peak_bytes(lambda: run(400))
         assert long < 2 * short, (short, long)
+
+
+class TestSgldIndexMemory:
+    """Each chain holds one int32 permutation of the data, 4 n n_data bytes."""
+
+    @pytest.mark.parametrize("n_chains, m", [(50, 50), (200, 20)])
+    def test_peak_is_permutations_plus_step_buffers(self, n_chains, m):
+        n_data, d = 20_000, 2
+        model = probit_simulate(n_data=n_data, dimension=d, seed=1, prior_variance=0.1)
+        cfg = ChainConfig(n_chains=n_chains, n_steps=30, step_size=1e-4, init_scale=0.1,
+                          minibatch_size=m, seed=3)
+        sgld_chains(model, cfg)  # warm up one-time allocations
+        peak = _peak_bytes(lambda: sgld_chains(model, cfg))
+        # The permutations, one more in flight, the two generators of each
+        # chain, and O(max(n, 512) (d + m)) numbers of noise and step work.
+        bound = (4 * n_chains * n_data + 8 * n_data + 2048 * n_chains
+                 + 4 * 8 * max(n_chains, 512) * (d + m))
+        assert peak <= bound, (peak, bound)
 
 
 class CountingModel:

@@ -84,6 +84,14 @@ class TestSteinGram:
         gram = stein_gram(gaussian_target(), RbfKernel(1.0), np.array([[0.0]]))
         np.testing.assert_allclose(gram.matrix, [[2.0]], atol=1e-15)
 
+    def test_equality_is_identity_and_hashable(self):
+        # Comparing the matrix field would raise on any Gram with more than
+        # one entry; two Grams of equal matrices are distinct objects.
+        a, b = SteinGram(np.eye(3)), SteinGram(np.eye(3))
+        assert a == a and not (a == b) and a != b
+        assert len({a, b, a}) == 2
+        assert {a: 1}[a] == 1
+
     def test_matches_pairwise_eval(self):
         target = standard_normal_target(3)
         spec = RbfKernel(1.7)
